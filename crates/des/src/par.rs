@@ -33,6 +33,27 @@
 //! makes the bound productive — around the ring the minimum hop cost
 //! accumulates, so some shard can always move.
 //!
+//! ## The output floor
+//!
+//! The link lookahead is a worst case over every state a shard can be
+//! in. A model that knows more can install an *output floor*
+//! ([`ParSim::set_output_floor`]): a function of the shard's state that
+//! lower-bounds the timestamp of every post the shard will ever make
+//! from that state on — the classic conservative-PDES "earliest output
+//! time". The engine publishes it beside the clock bound (monotone,
+//! capped by every spilled post like the bound) and the receiver's
+//! bound becomes
+//!
+//! ```text
+//! safe = min over in-links max(source bound + link lookahead, source floor)
+//! ```
+//!
+//! A promise broken at post time panics ("violates output floor"), just
+//! as a post inside the lookahead does. For the SCRAMNet ring the floor
+//! is the egress backlog: a packet cannot leave a node before the
+//! packets queued ahead of it have serialized, which lies microseconds
+//! past the 80 ns hop lookahead whenever the ring is loaded.
+//!
 //! Cross-shard events travel through bounded SPSC mailboxes (one per
 //! link, lock-free, single-producer/single-consumer by construction:
 //! a link's producer side is owned by exactly one shard and a shard is
@@ -164,17 +185,22 @@ impl<S> Drop for Mailbox<S> {
     }
 }
 
-/// A shard's published clock bound, cache-line padded so neighbours
-/// polling it don't false-share with the owner's hot state.
+/// A shard's published clock bound and output floor, cache-line padded
+/// so neighbours polling them don't false-share with the owner's hot
+/// state.
 #[repr(align(128))]
 struct PublishedBound {
     v: AtomicU64,
+    /// Lower bound on every post the shard makes from now on (0 until
+    /// an output floor is installed and published).
+    floor: AtomicU64,
 }
 
 impl PublishedBound {
     fn new() -> Arc<Self> {
         Arc::new(PublishedBound {
             v: AtomicU64::new(0),
+            floor: AtomicU64::new(0),
         })
     }
 }
@@ -215,7 +241,7 @@ struct OutLink<S> {
 /// Consumer side of one link, owned by the destination shard.
 struct InLink<S> {
     mbox: Arc<Mailbox<S>>,
-    /// The source shard's published clock bound.
+    /// The source shard's published clock bound and output floor.
     src_bound: Arc<PublishedBound>,
     lookahead: Time,
 }
@@ -259,6 +285,12 @@ struct Shard<S> {
     /// This shard's published clock bound (shared with every out-link's
     /// destination).
     bound: Arc<PublishedBound>,
+    /// The output floor last published (the owner's copy of
+    /// `bound.floor`); every post must land at or above it.
+    floor: Time,
+    /// Local schedules minus executions not yet folded into the global
+    /// pending count (flushed once per scheduling pass).
+    pending_delta: i64,
     inbox: Vec<InLink<S>>,
     out: Vec<OutLink<S>>,
     /// `(dst, lookahead)` per out-link — split from `out` so an
@@ -286,7 +318,9 @@ pub struct ShardCtx<'a, S> {
     next_seq: &'a mut u64,
     outgoing: &'a mut Vec<(u32, Entry<S>)>,
     out_meta: &'a [(u32, Time)],
+    floor: Time,
     pending: &'a AtomicU64,
+    pending_delta: &'a mut i64,
     stats: &'a mut ShardStats,
 }
 
@@ -306,7 +340,7 @@ impl<S> ShardCtx<'_, S> {
         assert!(t >= self.now, "local event scheduled into the past");
         let key = pack_key(self.id, *self.next_seq);
         *self.next_seq += 1;
-        self.pending.fetch_add(1, Ordering::Relaxed);
+        *self.pending_delta += 1;
         self.queue.push(t, key, Box::new(f));
     }
 
@@ -319,7 +353,9 @@ impl<S> ShardCtx<'_, S> {
     /// shard at absolute time `t`. The conservative contract: `t` must
     /// be at least `now + lookahead(link)` — the lookahead promised at
     /// [`ParSim::link`] time is exactly what the safe bound relies on,
-    /// so posting closer than that is a model bug and panics.
+    /// so posting closer than that is a model bug and panics. The same
+    /// holds for the shard's last published output floor (see
+    /// [`ParSim::set_output_floor`]).
     pub fn post(
         &mut self,
         link: Link,
@@ -333,8 +369,16 @@ impl<S> ShardCtx<'_, S> {
             "cross-shard post at t={t} violates lookahead {lookahead} from now={}",
             self.now
         );
+        assert!(
+            t >= self.floor,
+            "cross-shard post at t={t} violates output floor {} from now={}",
+            self.floor,
+            self.now
+        );
         let key = pack_key(self.id, *self.next_seq);
         *self.next_seq += 1;
+        // Counted globally before the entry can become visible to its
+        // receiver, whose execution (and -1) must come after this +1.
         self.pending.fetch_add(1, Ordering::Relaxed);
         self.stats.posted += 1;
         self.outgoing.push((
@@ -407,6 +451,7 @@ pub struct ParSim<S> {
     shards: Vec<Shard<S>>,
     pending: Arc<AtomicU64>,
     mailbox_cap: usize,
+    output_floor: Option<fn(&S) -> Time>,
 }
 
 impl<S: Send> ParSim<S> {
@@ -422,6 +467,8 @@ impl<S: Send> ParSim<S> {
                 next_seq: 0,
                 committed: 0,
                 bound: PublishedBound::new(),
+                floor: 0,
+                pending_delta: 0,
                 inbox: Vec::new(),
                 out: Vec::new(),
                 out_meta: Vec::new(),
@@ -434,6 +481,7 @@ impl<S: Send> ParSim<S> {
             shards,
             pending: Arc::new(AtomicU64::new(0)),
             mailbox_cap: DEFAULT_MAILBOX_CAP,
+            output_floor: None,
         }
     }
 
@@ -443,6 +491,19 @@ impl<S: Send> ParSim<S> {
     pub fn set_mailbox_cap(&mut self, cap: usize) {
         assert!(cap >= 1, "mailbox capacity must be positive");
         self.mailbox_cap = cap;
+    }
+
+    /// Install an output floor: `floor(state)` must lower-bound the
+    /// timestamp of every cross-shard post the shard makes from `state`
+    /// on, whatever events it executes next. After each scheduling pass
+    /// the engine publishes it (monotone, capped by spilled posts), and
+    /// receivers may run up to `max(source bound + lookahead, floor)`
+    /// instead of the lookahead alone. [`ShardCtx::post`] panics on a
+    /// post below the last published floor, in [`ParSim::run`] and
+    /// [`ParSim::run_seq`] alike. Without a floor the engine relies on
+    /// the link lookahead only.
+    pub fn set_output_floor(&mut self, floor: fn(&S) -> Time) {
+        self.output_floor = Some(floor);
     }
 
     /// Number of shards.
@@ -529,6 +590,7 @@ impl<S: Send> ParSim<S> {
     /// identical to [`ParSim::run`] at any thread count — the golden
     /// mode the parallel engine is gated against.
     pub fn run_seq(&mut self) -> ParReport {
+        self.reset_floors();
         loop {
             let mut best: Option<(Time, usize)> = None;
             for (i, sh) in self.shards.iter().enumerate() {
@@ -542,6 +604,9 @@ impl<S: Send> ParSim<S> {
             let sh = &mut self.shards[i];
             let (et, ev) = sh.queue.pop_due(t).expect("peeked event present");
             exec_event(sh, et, ev, &self.pending);
+            if let Some(floor_fn) = self.output_floor {
+                publish_floor(sh, floor_fn);
+            }
             // Route the event's posts directly into destination queues,
             // in post order (FIFO per link, like the mailboxes).
             let mut outgoing = std::mem::take(&mut self.shards[i].outgoing);
@@ -557,14 +622,19 @@ impl<S: Send> ParSim<S> {
             }
             self.shards[i].outgoing = outgoing; // hand the buffer back
         }
+        for sh in &mut self.shards {
+            flush_pending(sh, &self.pending);
+        }
         self.report(1)
     }
 
     /// Run to completion on `threads` worker threads. Shards are
-    /// assigned round-robin; each worker repeatedly passes over its
-    /// shards — drain in-link mailboxes, execute everything below the
-    /// conservative safe bound, publish a fresh clock bound — until the
-    /// global pending-event count hits zero.
+    /// assigned in contiguous id ranges (so a ring of shards crosses
+    /// workers `threads` times, not on every hop); each worker
+    /// repeatedly passes over its shards — drain in-link mailboxes,
+    /// execute everything below the conservative safe bound, publish a
+    /// fresh clock bound and output floor — until the global
+    /// pending-event count hits zero.
     pub fn run(&mut self, threads: usize) -> ParReport {
         assert!(threads >= 1, "need at least one worker thread");
         let n = self.shards.len();
@@ -572,11 +642,13 @@ impl<S: Send> ParSim<S> {
             return self.report(threads);
         }
         let threads = threads.min(n);
+        self.reset_floors();
         let mut buckets: Vec<Vec<Shard<S>>> = (0..threads).map(|_| Vec::new()).collect();
         for (i, sh) in self.shards.drain(..).enumerate() {
-            buckets[i % threads].push(sh);
+            buckets[i * threads / n].push(sh);
         }
         let pending = Arc::clone(&self.pending);
+        let floor_fn = self.output_floor;
         let poisoned = Arc::new(AtomicBool::new(false));
         let mut returned: Vec<Shard<S>> = Vec::with_capacity(n);
         std::thread::scope(|scope| {
@@ -585,7 +657,7 @@ impl<S: Send> ParSim<S> {
                 .map(|bucket| {
                     let pending = Arc::clone(&pending);
                     let poisoned = Arc::clone(&poisoned);
-                    scope.spawn(move || worker_loop(bucket, &pending, &poisoned))
+                    scope.spawn(move || worker_loop(bucket, floor_fn, &pending, &poisoned))
                 })
                 .collect();
             let mut panic_payload = None;
@@ -602,6 +674,21 @@ impl<S: Send> ParSim<S> {
         returned.sort_by_key(|s| s.id);
         self.shards = returned;
         self.report(threads)
+    }
+
+    /// Output floors promise posts from the state they were computed
+    /// in, and events scheduled between runs may post below them: every
+    /// run drops the old floors and publishes fresh ones from the
+    /// initial states (before any worker starts, so a quiet shard can
+    /// run ahead from its first pass).
+    fn reset_floors(&mut self) {
+        for sh in &mut self.shards {
+            sh.floor = 0;
+            sh.bound.floor.store(0, Ordering::Relaxed);
+            if let Some(floor_fn) = self.output_floor {
+                publish_floor(sh, floor_fn);
+            }
+        }
     }
 
     fn report(&self, threads: usize) -> ParReport {
@@ -627,6 +714,32 @@ fn cap_by_spill<S>(sh: &Shard<S>, mut bound: Time) -> Time {
     bound
 }
 
+/// Publish the model's output floor for `sh`'s current state, capped by
+/// every post still sitting in a spill queue (a spilled entry is
+/// invisible to its receiver, so the floor must stay at or below it —
+/// the floor is a raw post time, so no lookahead comes off). Single
+/// writer: a Release store of the owner's monotone copy suffices, and
+/// orders every earlier mailbox push before the floor a receiver reads.
+fn publish_floor<S>(sh: &mut Shard<S>, floor_fn: fn(&S) -> Time) {
+    let f = sh
+        .out
+        .iter()
+        .fold(floor_fn(&sh.state), |f, l| f.min(l.spill_floor));
+    if f > sh.floor {
+        sh.floor = f;
+        sh.bound.floor.store(f, Ordering::Release);
+    }
+}
+
+/// Fold `sh`'s local pending delta into the global count.
+fn flush_pending<S>(sh: &mut Shard<S>, pending: &AtomicU64) {
+    if sh.pending_delta != 0 {
+        // Two's-complement wrap: a negative delta subtracts.
+        pending.fetch_add(sh.pending_delta as u64, Ordering::AcqRel);
+        sh.pending_delta = 0;
+    }
+}
+
 /// Execute one event on `sh` at time `t`, leaving its cross-shard posts
 /// buffered in `sh.outgoing`. Publishes the shard's clock *before*
 /// running the event so any post the event makes is covered by the
@@ -644,18 +757,21 @@ fn exec_event<S>(sh: &mut Shard<S>, t: Time, ev: ShardEvent<S>, pending: &Atomic
         next_seq: &mut sh.next_seq,
         outgoing: &mut sh.outgoing,
         out_meta: &sh.out_meta,
+        floor: sh.floor,
         pending,
+        pending_delta: &mut sh.pending_delta,
         stats: &mut sh.stats,
     };
     ev(&mut ctx);
     sh.stats.executed += 1;
-    pending.fetch_sub(1, Ordering::AcqRel);
+    sh.pending_delta -= 1;
 }
 
 /// One worker's life: round-robin passes over its shards until the
 /// global event count drains (or a sibling worker panics).
 fn worker_loop<S: Send>(
     mut shards: Vec<Shard<S>>,
+    floor_fn: Option<fn(&S) -> Time>,
     pending: &AtomicU64,
     poisoned: &AtomicBool,
 ) -> Vec<Shard<S>> {
@@ -672,7 +788,7 @@ fn worker_loop<S: Send>(
     loop {
         let mut progress = false;
         for sh in &mut shards {
-            progress |= shard_pass(sh, pending);
+            progress |= shard_pass(sh, floor_fn, pending);
         }
         if pending.load(Ordering::Acquire) == 0 || poisoned.load(Ordering::Acquire) {
             break;
@@ -706,7 +822,7 @@ fn backoff(idle: u32) {
 /// by a source whose clock had already reached the value we read —
 /// i.e. its timestamp is at least `safe`, and executing strictly below
 /// `safe` then publishing `min(next event, safe)` can never outrun it.
-fn shard_pass<S>(sh: &mut Shard<S>, pending: &AtomicU64) -> bool {
+fn shard_pass<S>(sh: &mut Shard<S>, floor_fn: Option<fn(&S) -> Time>, pending: &AtomicU64) -> bool {
     let mut progress = false;
     // Flush any spilled posts (FIFO per link) before new work.
     for link in &mut sh.out {
@@ -723,15 +839,16 @@ fn shard_pass<S>(sh: &mut Shard<S>, pending: &AtomicU64) -> bool {
             link.spill_floor = Time::MAX;
         }
     }
-    // 1. Conservative safe bound from the in-link published clocks.
+    // 1. Conservative safe bound from the in-link published clocks and
+    //    output floors: every post the drain below misses lies at or
+    //    above both promises, so at or above their max.
     let safe = sh
         .inbox
         .iter()
         .map(|l| {
-            l.src_bound
-                .v
-                .load(Ordering::Acquire)
-                .saturating_add(l.lookahead)
+            let bound = l.src_bound.v.load(Ordering::Acquire);
+            let floor = l.src_bound.floor.load(Ordering::Acquire);
+            bound.saturating_add(l.lookahead).max(floor)
         })
         .min()
         .unwrap_or(Time::MAX);
@@ -812,6 +929,24 @@ fn shard_pass<S>(sh: &mut Shard<S>, pending: &AtomicU64) -> bool {
     sh.bound
         .v
         .fetch_max(cap_by_spill(sh, bound), Ordering::AcqRel);
+    if let Some(floor_fn) = floor_fn {
+        publish_floor(sh, floor_fn);
+    }
+    // 5. Fold this pass's local schedules and executions into the global
+    //    pending count. Soundness — the global count never reads zero
+    //    while any event is alive: every event's +1 is published before
+    //    its -1 (a cross-shard post adds +1 at post time, before the
+    //    entry can reach a mailbox; a local schedule's +1 travels in the
+    //    same delta as its own execution's -1, or in an earlier one).
+    //    An alive event whose +1 is still unflushed was scheduled during
+    //    this pass by an event executed in this pass, whose -1 is
+    //    unflushed too; following creators back reaches an event whose
+    //    +1 was published before the pass began (every queued event at
+    //    pass start was) and whose -1 is not yet — so the global count
+    //    holds at least that 1 until this flush, after which it is
+    //    exact for this shard. Workers check for termination only
+    //    after flushing every shard they own.
+    flush_pending(sh, pending);
     progress
 }
 
@@ -886,6 +1021,126 @@ mod tests {
         let link = sim.link(0, 1, 500);
         sim.schedule(0, 0, move |c| {
             c.post(link, 100, |_| {});
+        });
+        sim.run_seq();
+    }
+
+    /// Shard 0 ticks through a dense local chain and posts once, at
+    /// `post_at`, when it ends; shard 1 only receives. `post_at` is
+    /// what shard 0 promises as its output floor.
+    struct Emitter {
+        history: Vec<(Time, u64)>,
+        post_at: Time,
+    }
+
+    fn emitter_sim(floor: bool) -> ParSim<Emitter> {
+        let mut sim = ParSim::new((0..2).map(|_| Emitter {
+            history: Vec::new(),
+            post_at: 1_000_000,
+        }));
+        if floor {
+            sim.set_output_floor(|s: &Emitter| s.post_at);
+        }
+        let link = sim.link(0, 1, 10);
+        fn tick(ctx: &mut ShardCtx<'_, Emitter>, link: Link, left: u64) {
+            let t = ctx.now();
+            ctx.state.history.push((t, left));
+            if left > 0 {
+                ctx.schedule_in(1, move |c| tick(c, link, left - 1));
+            } else {
+                let at = ctx.state.post_at;
+                ctx.post(link, at, |c| {
+                    let t = c.now();
+                    c.state.history.push((t, u64::MAX));
+                });
+            }
+        }
+        sim.schedule(0, 0, move |c| tick(c, link, 10_000));
+        // The quiet downstream shard's own work sits far past anything
+        // the 10 ns lookahead alone would release early in shard 0's run.
+        for k in 0..50u64 {
+            sim.schedule(1, 5_000 + k, move |c| {
+                let t = c.now();
+                c.state.history.push((t, k));
+            });
+        }
+        sim
+    }
+
+    #[test]
+    fn output_floor_lets_a_quiet_downstream_shard_run_without_stalls() {
+        let mut golden = emitter_sim(true);
+        let g = golden.run_seq();
+        assert_eq!(g.dispatches, 10_001 + 50 + 1);
+        // Lookahead alone: on one worker shard 1 waits for shard 0's
+        // clock to creep up to 5 µs, one 256-event batch per pass.
+        let mut plain = emitter_sim(false);
+        assert!(plain.run(1).shards[1].stall_passes > 0);
+        for threads in [1usize, 2] {
+            let mut sim = emitter_sim(true);
+            let r = sim.run(threads);
+            assert_eq!(r.late_arrivals(), 0, "{threads} threads");
+            assert_eq!(r.shards[1].stall_passes, 0, "{threads} threads");
+            assert_eq!(r.dispatches, g.dispatches);
+            for i in 0..2 {
+                assert_eq!(golden.state(i).history, sim.state(i).history, "shard {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn output_floor_is_capped_by_spilled_posts() {
+        let build = || {
+            let mut sim = ParSim::new((0..2).map(|_| Emitter {
+                history: Vec::new(),
+                post_at: 0,
+            }));
+            sim.set_mailbox_cap(2);
+            sim.set_output_floor(|s: &Emitter| s.post_at);
+            let link = sim.link(0, 1, 10);
+            sim.schedule(0, 0, move |c| {
+                for k in 0..64u64 {
+                    c.post(link, 1_000 + k, move |c2| {
+                        let t = c2.now();
+                        c2.state.history.push((t, k));
+                    });
+                }
+                // Nothing more to post: the state now promises the far
+                // future, but 62 of the posts still sit in the spill.
+                c.state.post_at = Time::MAX;
+            });
+            for k in 0..8u64 {
+                sim.schedule(1, 5_000 + k, move |c| {
+                    let t = c.now();
+                    c.state.history.push((t, 100 + k));
+                });
+            }
+            sim
+        };
+        let mut golden = build();
+        golden.run_seq();
+        for threads in [1usize, 2] {
+            let mut sim = build();
+            let r = sim.run(threads);
+            assert!(r.shards[0].spilled > 0, "capacity 2 must overflow");
+            assert_eq!(r.late_arrivals(), 0, "{threads} threads");
+            assert_eq!(golden.state(1).history, sim.state(1).history);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "violates output floor")]
+    fn posting_below_the_output_floor_panics() {
+        let mut sim = ParSim::new((0..2).map(|_| Emitter {
+            history: Vec::new(),
+            post_at: 500,
+        }));
+        // Promises nothing below 1 µs, then posts at 500 ns.
+        sim.set_output_floor(|_: &Emitter| 1_000);
+        let link = sim.link(0, 1, 10);
+        sim.schedule(0, 0, move |c| {
+            let at = c.state.post_at;
+            c.post(link, at, |_| {});
         });
         sim.run_seq();
     }

@@ -20,18 +20,18 @@ fn mix(mut x: u64) -> u64 {
 /// log of every cascade event it ran.
 type Log = Vec<(Time, u64)>;
 
-/// Build a 6-shard graph that is denser than a ring — every shard links
-/// to its +1 and +2 neighbours with different lookaheads — and seed a
-/// pseudo-random cascade: each event logs itself, then fans out to 0–2
-/// outgoing links with seed-derived extra delays, for `depth` hops.
-fn build(seed: u64, cap: usize) -> ParSim<Log> {
-    const N: u32 = 6;
-    let mut sim = ParSim::new((0..N).map(|_| Log::new()));
+/// Build an `n`-shard graph that is denser than a ring — every shard
+/// links to its +1 and +2 neighbours with different lookaheads — and
+/// seed a pseudo-random cascade: each event logs itself, then fans out
+/// to 0–2 outgoing links with seed-derived extra delays, for `depth`
+/// hops.
+fn build(n: u32, seed: u64, cap: usize) -> ParSim<Log> {
+    let mut sim = ParSim::new((0..n).map(|_| Log::new()));
     sim.set_mailbox_cap(cap);
     // links[s] = the out-links of shard s, with distinct lookaheads so
     // the safe bound is genuinely per-link.
-    let links: Vec<Vec<Link>> = (0..N)
-        .map(|s| vec![sim.link(s, (s + 1) % N, 50), sim.link(s, (s + 2) % N, 130)])
+    let links: Vec<Vec<Link>> = (0..n)
+        .map(|s| vec![sim.link(s, (s + 1) % n, 50), sim.link(s, (s + 2) % n, 130)])
         .collect();
 
     fn cascade(
@@ -67,7 +67,7 @@ fn build(seed: u64, cap: usize) -> ParSim<Log> {
     // The link table must outlive every in-flight closure; leaking one
     // small Vec per test build is the simple way to get 'static.
     let links: &'static [Vec<Link>] = Box::leak(links.into_boxed_slice());
-    for s in 0..N {
+    for s in 0..n {
         for i in 0..8u64 {
             let tag = mix(seed ^ (u64::from(s) << 32) ^ i);
             let t = 1 + (tag % 500) * 10;
@@ -80,7 +80,7 @@ fn build(seed: u64, cap: usize) -> ParSim<Log> {
 #[test]
 fn dense_graph_cascade_is_identical_across_thread_counts_and_caps() {
     for seed in [0x5EED_u64, 9_001, 0x00DD_BA11] {
-        let mut reference = build(seed, 1024);
+        let mut reference = build(6, seed, 1024);
         let r = reference.run_seq();
         assert_eq!(r.late_arrivals(), 0, "seed {seed:#x} reference");
         assert!(r.dispatches > 500, "seed {seed:#x}: cascade fizzled");
@@ -89,7 +89,7 @@ fn dense_graph_cascade_is_identical_across_thread_counts_and_caps() {
         // enough that the spill path carries most of the traffic.
         for threads in [1usize, 2, 4] {
             for cap in [2usize, 16, 1024] {
-                let mut sim = build(seed, cap);
+                let mut sim = build(6, seed, cap);
                 let rep = sim.run(threads);
                 assert_eq!(rep.late_arrivals(), 0, "seed {seed:#x} t{threads} cap{cap}");
                 assert_eq!(
@@ -108,7 +108,7 @@ fn dense_graph_cascade_is_identical_across_thread_counts_and_caps() {
 
 #[test]
 fn tiny_mailboxes_spill_but_never_stall_or_reorder() {
-    let mut sim = build(0xCAFE, 2);
+    let mut sim = build(6, 0xCAFE, 2);
     let rep = sim.run(2);
     assert_eq!(rep.late_arrivals(), 0);
     // With capacity-2 mailboxes under this fan-out, the overflow path
@@ -121,5 +121,89 @@ fn tiny_mailboxes_spill_but_never_stall_or_reorder() {
             log.windows(2).all(|w| w[0].0 <= w[1].0),
             "shard {shard}: execution log is not time-ordered"
         );
+    }
+}
+
+#[test]
+fn uneven_shard_to_worker_splits_match_the_reference() {
+    // Contiguous placement hands workers unequal id ranges when the
+    // shard count is not a multiple of the worker count (6 shards on 4
+    // workers runs in the test above).
+    for (n, threads) in [(5u32, 3usize), (5, 4)] {
+        for seed in [0x5EED_u64, 0x00DD_BA11] {
+            let mut reference = build(n, seed, 1024);
+            let r = reference.run_seq();
+            assert!(r.dispatches > 300, "n{n} seed {seed:#x}: cascade fizzled");
+            let golden = reference.into_states();
+            for cap in [2usize, 1024] {
+                let mut sim = build(n, seed, cap);
+                let rep = sim.run(threads);
+                assert_eq!(rep.late_arrivals(), 0, "n{n} t{threads} cap{cap}");
+                assert_eq!(rep.dispatches, r.dispatches, "n{n} t{threads} cap{cap}");
+                assert_eq!(
+                    sim.into_states(),
+                    golden,
+                    "n{n} seed {seed:#x} t{threads} cap{cap}: execution logs diverge"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn token_chain_across_workers_runs_to_the_last_hop() {
+    // One token hops around a ring of shards, one shard per worker.
+    // Each hop also drops a leaf two shards ahead, then runs a short
+    // local chain. The chain ends within the poster's pass, so the
+    // poster's queue empties while the token and the leaf are in flight.
+    // The chain's events advance the poster's clock bound, so the leaf's
+    // receiver may execute it (and fold its -1 into the global pending
+    // count) before the poster's pass ends. Workers batch local counts
+    // per pass, so this pins that an in-flight post already holds the
+    // global count above zero. Otherwise some worker sees zero, leaves
+    // early, and hops go unexecuted.
+    const HOPS: u64 = 4_000;
+    const SPIN: u64 = 16;
+    fn spin(ctx: &mut des::par::ShardCtx<'_, Log>, left: u64) {
+        if left > 0 {
+            ctx.schedule_in(1, move |c| spin(c, left - 1));
+        }
+    }
+    fn hop(ctx: &mut des::par::ShardCtx<'_, Log>, links: &'static [[Link; 2]], left: u64) {
+        let now = ctx.now();
+        ctx.state.push((now, left));
+        if left > 0 {
+            let [next, skip] = links[ctx.shard() as usize];
+            ctx.post(next, now + 2 * SPIN, move |c| hop(c, links, left - 1));
+            ctx.post(skip, now + 7, move |c| {
+                let t = c.now();
+                c.state.push((t, u64::MAX));
+            });
+            ctx.schedule_in(1, |c| spin(c, SPIN - 1));
+        }
+    }
+    for (n, threads) in [(3u32, 3usize), (4, 4), (5, 2)] {
+        for _ in 0..3 {
+            let mut sim = ParSim::new((0..n).map(|_| Log::new()));
+            let links: Vec<[Link; 2]> = (0..n)
+                .map(|s| [sim.link(s, (s + 1) % n, 7), sim.link(s, (s + 2) % n, 7)])
+                .collect();
+            let links: &'static [[Link; 2]] = Box::leak(links.into_boxed_slice());
+            sim.schedule(0, 0, move |c| hop(c, links, HOPS));
+            // A worker that leaves early strands events on its shards and
+            // the others then spin forever: fail instead of hanging.
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let rep = sim.run(threads);
+                let _ = tx.send((rep, sim));
+            });
+            let (rep, sim) = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("n{n} t{threads}: run did not terminate"));
+            assert_eq!(rep.dispatches, (2 + SPIN) * HOPS + 1, "n{n} t{threads}");
+            assert_eq!(rep.late_arrivals(), 0);
+            let last = (HOPS % u64::from(n)) as u32;
+            assert!(sim.state(last).contains(&(HOPS * 2 * SPIN, 0)));
+        }
     }
 }

@@ -23,6 +23,15 @@
 //! derived time is `>= depart + lookahead`, so the conservative
 //! contract holds by construction.
 //!
+//! The 80 ns lookahead alone would let a downstream node run only one
+//! hop ahead of its neighbour, while on a loaded ring each packet holds
+//! an egress for microseconds. Each node therefore also promises an
+//! output floor (see [`des::par::ParSim::set_output_floor`]): no packet
+//! leaves before its egress backlog (`egress_busy`) has drained, so no
+//! post lands below `egress_busy + lookahead` — until a scripted bypass
+//! engages, after which hops skip the egress and only the clock bound
+//! holds.
+//!
 //! ## What is deterministic, and against what
 //!
 //! Per-shard execution order is total on `(time, creator key)`, so a
@@ -166,6 +175,9 @@ struct NodeState {
     /// packets (the `links[node]` word of the sequential engine).
     egress_busy: Time,
     bypassed: bool,
+    /// Earliest scripted bypass engagement ([`ParRing::bypass_at`]),
+    /// `Time::MAX` when none is scripted.
+    bypass_from: Time,
     /// Crashed host behind a live NIC: injects nothing, forwards
     /// everything, heartbeats stop.
     silenced: bool,
@@ -176,6 +188,9 @@ struct NodeState {
     drops_armed: u64,
     /// Per-writer transit error injectors, created lazily.
     injectors: Vec<Option<ErrorInjector>>,
+    /// Transit applies an injector corrupted (one per corrupted
+    /// replica, like the sequential ring's `stats.bit_errors`).
+    bit_errors: u64,
     deliveries: Vec<Delivery>,
     /// Own heartbeat counter.
     hb_count: u64,
@@ -207,6 +222,9 @@ impl NodeState {
             inj.corrupt_span(data.len(), |i, bit| {
                 owned.get_or_insert_with(|| data.to_vec())[i] ^= 1 << bit;
             });
+            if owned.is_some() {
+                self.bit_errors += 1;
+            }
         }
         let data: &[Word] = owned.as_deref().unwrap_or(data);
         self.bank.apply(addr, data, writer, t);
@@ -225,6 +243,20 @@ impl NodeState {
             }
         }
     }
+}
+
+/// The node's output floor for [`ParSim::set_output_floor`]: every
+/// departure through a live node's egress is `>= egress_busy` (the FIFO
+/// serializes the backlog first), and posts fire at `depart +
+/// lookahead`. A bypassed node's hops skip the egress, so once the
+/// scripted bypass time is reached only the clock bound holds — which
+/// is why the floor stops at `bypass_from` and falls back to no promise
+/// (0) after engagement.
+fn output_floor(st: &NodeState) -> Time {
+    if st.bypassed {
+        return 0;
+    }
+    st.egress_busy.min(st.bypass_from) + st.params.lookahead
 }
 
 /// Derive an independent injector seed per (receiving node, writer)
@@ -415,10 +447,12 @@ impl ParRing {
             bank: Bank::new(words, false),
             egress_busy: 0,
             bypassed: false,
+            bypass_from: Time::MAX,
             silenced: false,
             broken_egress: false,
             drops_armed: 0,
             injectors: (0..n).map(|_| None).collect(),
+            bit_errors: 0,
             deliveries: Vec::new(),
             hb_count: 0,
             hb_last: vec![0; n],
@@ -431,6 +465,7 @@ impl ParRing {
                 sim.state_mut(i as u32).out = Some(link);
             }
         }
+        sim.set_output_floor(output_floor);
         let ring = ParRing { sim, n, lookahead };
         if params.hb.is_some() {
             let mut ring = ring;
@@ -485,9 +520,12 @@ impl ParRing {
     }
 
     /// Script bypass engagement at `t`: `node` leaves the ring (no bank
-    /// applies, fast bypass hops, cannot inject).
+    /// applies, fast bypass hops, cannot inject). The node's output
+    /// floor stops at `t`, since bypass hops skip the egress backlog.
     pub fn bypass_at(&mut self, node: usize, t: Time) {
         assert!(node < self.n, "node {node} out of range");
+        let st = self.sim.state_mut(node as u32);
+        st.bypass_from = st.bypass_from.min(t);
         self.sim
             .schedule(node as u32, t, |c| c.state.bypassed = true);
     }
@@ -530,6 +568,15 @@ impl ParRing {
     /// [`ParRingConfig::record_deliveries`] was set).
     pub fn deliveries(&self, node: usize) -> &[Delivery] {
         &self.sim.state(node as u32).deliveries
+    }
+
+    /// Corrupted replicas across every node: transit applies whose
+    /// words an error injector flipped (the sharded counterpart of the
+    /// sequential ring's `stats.bit_errors`).
+    pub fn bit_errors(&self) -> u64 {
+        (0..self.n as u32)
+            .map(|i| self.sim.state(i).bit_errors)
+            .sum()
     }
 
     /// The membership view history observed at `node` (empty without a
@@ -629,6 +676,48 @@ mod tests {
                     "node {node} bank @ {threads} threads"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn bit_error_counter_equals_corrupted_replicas_in_the_logs() {
+        const N: usize = 6;
+        let packet = |node: usize, i: usize| -> (WordAddr, Vec<Word>) {
+            let w = (node << 16 | i) as Word;
+            ((node * 40 + i) * 4, vec![w, !w, w ^ 0x55, w.rotate_left(7)])
+        };
+        for threads in [1usize, 2] {
+            let mut ring = ParRing::new(
+                N,
+                4096,
+                CostModel::default(),
+                ParRingConfig {
+                    bit_error_rate: 5e-3,
+                    error_seed: 0xB17_E220,
+                    record_deliveries: true,
+                    ..ParRingConfig::default()
+                },
+            );
+            for node in 0..N {
+                for i in 0..40 {
+                    let (addr, data) = packet(node, i);
+                    ring.seed_packet(node, 100 + i as Time * 1_000, addr, data);
+                }
+            }
+            let r = ring.run(threads);
+            assert_eq!(r.late_arrivals(), 0);
+            // Every packet sits at its own address, so a replica is
+            // corrupted exactly when its words differ from the source's.
+            let corrupted: u64 = (0..N)
+                .flat_map(|node| ring.deliveries(node))
+                .filter(|d| {
+                    let (node, i) = (d.addr / 4 / 40, d.addr / 4 % 40);
+                    assert_eq!(node, d.writer);
+                    d.data != packet(node, i).1
+                })
+                .count() as u64;
+            assert!(corrupted > 0, "BER 5e-3 over ~4k words must corrupt some");
+            assert_eq!(ring.bit_errors(), corrupted, "{threads} threads");
         }
     }
 
