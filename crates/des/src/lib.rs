@@ -4,8 +4,9 @@
 //!
 //! This crate is the substrate on which the whole SCRAMNet reproduction
 //! runs. It provides *virtual time* (integer nanoseconds), *processes*
-//! (simulated host programs, each running on its own OS thread but scheduled
-//! cooperatively, one at a time), *events* (pure callbacks modelling
+//! (simulated host programs, each a stackful coroutine on the thread that
+//! runs the simulation, scheduled cooperatively, one at a time), *events*
+//! (pure callbacks modelling
 //! hardware activity that proceeds concurrently with host CPUs), and
 //! *signals* (blocking wake-ups used for interrupt-driven receives and
 //! socket queues).
@@ -34,9 +35,13 @@
 //!
 //! Because only one entity runs at a time, shared state guarded by a
 //! [`parking_lot::Mutex`] is never contended; the mutex exists only to
-//! satisfy the borrow checker across threads. The one discipline users must
-//! follow is: **never hold a lock across a yield point**
-//! ([`ProcCtx::advance`], [`ProcCtx::wait`], …).
+//! satisfy the `Send` bounds on process bodies and events. The one
+//! discipline users must follow is: **never hold a lock across a yield
+//! point** ([`ProcCtx::advance`], [`ProcCtx::wait`], …).
+//!
+//! Switching between processes never enters the kernel: a yield is one
+//! user-space stack switch (x86-64 Linux only; see `coro.rs`). A
+//! [`Simulation`] therefore stays on the thread that created it.
 //!
 //! ## Determinism, tracing, and observability
 //!
@@ -50,6 +55,7 @@
 //! default and costs one relaxed atomic load per instrumentation site.
 
 mod calq;
+mod coro;
 mod event;
 mod pq;
 mod process;

@@ -1,12 +1,13 @@
-//! Simulated processes: each runs on its own OS thread but is scheduled
-//! cooperatively — exactly one process (or event) executes at a time, so
-//! process code can use plain blocking style while the simulation stays
-//! deterministic.
+//! Simulated processes: each runs as a stackful coroutine on the thread
+//! that calls [`crate::Simulation::run_until`], scheduled cooperatively —
+//! exactly one process (or event) executes at a time, so process code can
+//! use plain blocking style while the simulation stays deterministic.
 
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
-
+use crate::coro::Coroutine;
 use crate::sched::{SchedShared, SimHandle, WakeWhat};
 use crate::signal::Signal;
 use crate::time::Time;
@@ -16,13 +17,14 @@ use obs::{TraceEntry, TraceKind};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProcId(pub usize);
 
-/// Handshake slot between the scheduler thread and one process thread.
+/// Handshake slot between the scheduler and one process.
+#[derive(Clone, Copy)]
 pub(crate) enum Slot {
     /// Process is parked, waiting for the scheduler.
     Parked,
     /// Scheduler granted execution, with the virtual time of resumption.
     Go(Time),
-    /// Simulation is being dropped; the process thread must unwind.
+    /// Simulation is being dropped; the process must unwind.
     Abort,
     /// Process yielded back to the scheduler.
     Yielded(YieldReason),
@@ -31,7 +33,7 @@ pub(crate) enum Slot {
 /// Every yield carries the process's clock at the moment it parked, so
 /// the scheduler's notion of elapsed time covers fast-path jumps (see
 /// [`ProcCtx::advance`]).
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum YieldReason {
     /// Resume me via the queue entry I pushed; I parked at `now`.
     ResumeAt {
@@ -45,47 +47,48 @@ pub(crate) enum YieldReason {
     },
     /// The process body returned at this virtual time.
     Finished(Time),
-    /// The process body panicked with this message.
-    Panicked(String),
 }
 
 impl YieldReason {
-    /// The parked process's clock, where known.
-    pub(crate) fn park_time(&self) -> Option<Time> {
+    /// The parked process's clock.
+    pub(crate) fn park_time(self) -> Time {
         match self {
-            YieldReason::ResumeAt { now } | YieldReason::Blocked { now } => Some(*now),
-            YieldReason::Finished(t) => Some(*t),
-            YieldReason::Panicked(_) => None,
+            YieldReason::ResumeAt { now } | YieldReason::Blocked { now } => now,
+            YieldReason::Finished(t) => t,
         }
     }
 }
 
 pub(crate) struct ProcShared {
-    pub slot: Mutex<Slot>,
-    pub cv: Condvar,
+    pub slot: Cell<Slot>,
     pub name: String,
 }
 
 pub(crate) struct ProcEntry {
-    pub shared: Arc<ProcShared>,
-    pub join: Option<std::thread::JoinHandle<()>>,
-    pub finished: bool,
+    pub shared: Rc<ProcShared>,
+    /// `None` once the process finished: its stack is freed then.
+    pub coro: Option<Coroutine>,
 }
 
-/// Payload used to unwind a process thread when its simulation is dropped
+/// The process table, shared by the simulation and every process.
+pub(crate) type ProcTable = Rc<RefCell<Vec<ProcEntry>>>;
+
+/// Payload used to unwind a process when its simulation is dropped
 /// before the process finished (e.g. after a deadlock report).
 pub(crate) struct AbortToken;
 
 /// The execution context handed to every process body.
 ///
-/// All interaction with virtual time flows through this object. It is not
-/// `Send`-away-able into events; events receive only the fire time.
+/// All interaction with virtual time flows through this object. It is
+/// not `Send`: a process runs on the simulation's thread, and events
+/// receive only the fire time.
 pub struct ProcCtx {
     pub(crate) id: ProcId,
     pub(crate) now: Time,
-    pub(crate) shared: Arc<ProcShared>,
+    pub(crate) shared: Rc<ProcShared>,
     pub(crate) sched: Arc<SchedShared>,
-    pub(crate) procs: Arc<Mutex<Vec<ProcEntry>>>,
+    pub(crate) procs: ProcTable,
+    coro: Coroutine,
 }
 
 impl ProcCtx {
@@ -194,8 +197,8 @@ impl ProcCtx {
         &self.sched.recorder
     }
 
-    /// Park this thread and hand control to the scheduler; returns with the
-    /// granted resumption time.
+    /// Park this process and hand control to the scheduler; returns with
+    /// the granted resumption time.
     fn park(&mut self, reason: YieldReason) {
         if self.sched.recorder.is_enabled() {
             // Gated so the hot yield path never formats the detail string.
@@ -205,103 +208,62 @@ impl ProcCtx {
                 detail: format!("{} {:?}", self.shared.name, reason),
             });
         }
-        let mut slot = self.shared.slot.lock();
-        *slot = Slot::Yielded(reason);
-        self.shared.cv.notify_all();
-        loop {
-            match &*slot {
-                Slot::Go(t) => {
-                    debug_assert!(*t >= self.now, "virtual time went backwards");
-                    self.now = *t;
-                    *slot = Slot::Parked;
-                    return;
-                }
-                Slot::Abort => {
-                    *slot = Slot::Parked;
-                    drop(slot);
-                    std::panic::resume_unwind(Box::new(AbortToken));
-                }
-                _ => self.shared.cv.wait(&mut slot),
+        self.shared.slot.set(Slot::Yielded(reason));
+        self.coro.suspend();
+        match self.shared.slot.replace(Slot::Parked) {
+            Slot::Go(t) => {
+                debug_assert!(t >= self.now, "virtual time went backwards");
+                self.now = t;
             }
+            Slot::Abort => std::panic::resume_unwind(Box::new(AbortToken)),
+            Slot::Parked | Slot::Yielded(_) => unreachable!("process resumed without a grant"),
         }
     }
 }
 
 type ProcBody = Box<dyn FnOnce(&mut ProcCtx) + Send + 'static>;
 
-/// Create the thread for a new process and schedule its first resumption
-/// at `start`. Shared between `Simulation::spawn` and `ProcCtx::spawn`.
+/// Create the coroutine for a new process and schedule its first
+/// resumption at `start`. Shared between `Simulation::spawn` and
+/// `ProcCtx::spawn`.
 pub(crate) fn spawn_process(
-    procs: &Arc<Mutex<Vec<ProcEntry>>>,
+    procs: &ProcTable,
     sched: &Arc<SchedShared>,
     name: String,
     start: Time,
     body: ProcBody,
 ) -> ProcId {
-    let mut table = procs.lock();
+    let mut table = procs.borrow_mut();
     let id = ProcId(table.len());
-    let shared = Arc::new(ProcShared {
-        slot: Mutex::new(Slot::Parked),
-        cv: Condvar::new(),
-        name: name.clone(),
+    let shared = Rc::new(ProcShared {
+        slot: Cell::new(Slot::Parked),
+        name,
     });
-    let thread_shared = Arc::clone(&shared);
-    let thread_sched = Arc::clone(sched);
-    let thread_procs = Arc::clone(procs);
-    let join = std::thread::Builder::new()
-        .name(format!("des-{name}"))
-        .spawn(move || {
-            // Wait for the first Go.
-            let first = {
-                let mut slot = thread_shared.slot.lock();
-                loop {
-                    match &*slot {
-                        Slot::Go(t) => {
-                            let t = *t;
-                            *slot = Slot::Parked;
-                            break t;
-                        }
-                        Slot::Abort => {
-                            *slot = Slot::Parked;
-                            return;
-                        }
-                        _ => thread_shared.cv.wait(&mut slot),
-                    }
-                }
-            };
-            let mut ctx = ProcCtx {
-                id,
-                now: first,
-                shared: Arc::clone(&thread_shared),
-                sched: thread_sched,
-                procs: thread_procs,
-            };
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
-            let reason = match result {
-                Ok(()) => YieldReason::Finished(ctx.now),
-                Err(payload) => {
-                    if payload.downcast_ref::<AbortToken>().is_some() {
-                        // Simulation dropped: exit quietly without touching
-                        // the handshake (the dropper is not waiting).
-                        return;
-                    }
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    YieldReason::Panicked(msg)
-                }
-            };
-            let mut slot = ctx.shared.slot.lock();
-            *slot = Slot::Yielded(reason);
-            ctx.shared.cv.notify_all();
-        })
-        .expect("failed to spawn des process thread");
+    let ctx_shared = Rc::clone(&shared);
+    let ctx_sched = Arc::clone(sched);
+    let ctx_procs = Rc::clone(procs);
+    let coro = Coroutine::new(move |coro| {
+        let first = match ctx_shared.slot.replace(Slot::Parked) {
+            Slot::Go(t) => t,
+            // Simulation dropped before the process ever ran.
+            _ => return,
+        };
+        let mut ctx = ProcCtx {
+            id,
+            now: first,
+            shared: ctx_shared,
+            sched: ctx_sched,
+            procs: ctx_procs,
+            coro,
+        };
+        body(&mut ctx);
+        ctx.shared
+            .slot
+            .set(Slot::Yielded(YieldReason::Finished(ctx.now)));
+    });
     table.push(ProcEntry {
         shared,
-        join: Some(join),
-        finished: false,
+        coro: Some(coro),
     });
     drop(table);
     sched.push(start, WakeWhat::Resume(id));

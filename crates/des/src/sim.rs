@@ -1,11 +1,11 @@
 //! The simulation container and its run loop.
 
+use std::marker::PhantomData;
+use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use crate::process::{spawn_process, ProcCtx, ProcEntry, ProcId, Slot, YieldReason};
+use crate::process::{spawn_process, ProcCtx, ProcId, ProcTable, Slot, YieldReason};
 use crate::sched::{SchedShared, SimHandle, WakeWhat};
 use crate::time::Time;
 use obs::{TraceEntry, TraceKind};
@@ -34,9 +34,20 @@ impl RunReport {
 
 /// A discrete-event simulation: a set of processes, a pending-event queue,
 /// and a deterministic run loop. See the crate docs for the model.
+///
+/// Processes are coroutines that run on the thread calling
+/// [`Simulation::run_until`], and compiled code may cache thread-local
+/// addresses across their switches, so a simulation must stay on the
+/// thread that created it. It is not `Send`:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<des::Simulation>();
+/// ```
 pub struct Simulation {
     sched: Arc<SchedShared>,
-    procs: Arc<Mutex<Vec<ProcEntry>>>,
+    procs: ProcTable,
+    _not_send: PhantomData<*const ()>,
 }
 
 impl Simulation {
@@ -44,7 +55,8 @@ impl Simulation {
     pub fn new() -> Self {
         Simulation {
             sched: SchedShared::new(),
-            procs: Arc::new(Mutex::new(Vec::new())),
+            procs: ProcTable::default(),
+            _not_send: PhantomData,
         }
     }
 
@@ -140,14 +152,13 @@ impl Simulation {
                 }
             }
         }
-        let deadlocked: Vec<String> = {
-            let table = self.procs.lock();
-            table
-                .iter()
-                .filter(|p| !p.finished)
-                .map(|p| p.shared.name.clone())
-                .collect()
-        };
+        let deadlocked: Vec<String> = self
+            .procs
+            .borrow()
+            .iter()
+            .filter(|p| p.coro.is_some())
+            .map(|p| p.shared.name.clone())
+            .collect();
         RunReport {
             end_time: now,
             dispatches,
@@ -157,20 +168,20 @@ impl Simulation {
     }
 
     /// Hand the CPU to process `id` at time `t` (updating the caller's
-    /// clock if the process fast-forwarded past it); block until it
+    /// clock if the process fast-forwarded past it); returns when it
     /// yields.
     fn resume(&self, id: ProcId, now: &mut Time) {
         let t = *now;
-        let (shared, already_done) = {
-            let table = self.procs.lock();
+        let (shared, coro) = {
+            let table = self.procs.borrow();
             let entry = &table[id.0];
-            (Arc::clone(&entry.shared), entry.finished)
+            match &entry.coro {
+                Some(coro) => (Rc::clone(&entry.shared), coro.clone()),
+                // A signal can race with normal completion and leave a
+                // stale resume in the queue; ignore it.
+                None => return,
+            }
         };
-        if already_done {
-            // A signal can race with normal completion and leave a stale
-            // resume in the queue; ignore it.
-            return;
-        }
         if self.sched.recorder.is_enabled() {
             // Gated so the hot dispatch path never clones the name.
             self.sched.record(TraceEntry {
@@ -179,47 +190,32 @@ impl Simulation {
                 detail: shared.name.clone(),
             });
         }
-        let reason = {
-            let mut slot = shared.slot.lock();
-            *slot = Slot::Go(t);
-            shared.cv.notify_all();
-            loop {
-                match &*slot {
-                    Slot::Yielded(_) => {
-                        let Slot::Yielded(reason) = std::mem::replace(&mut *slot, Slot::Parked)
-                        else {
-                            unreachable!()
-                        };
-                        break reason;
-                    }
-                    _ => shared.cv.wait(&mut slot),
-                }
-            }
+        shared.slot.set(Slot::Go(t));
+        if let Err(payload) = coro.resume() {
+            self.procs.borrow_mut()[id.0].coro = None;
+            panic!(
+                "simulated process '{}' panicked: {}",
+                shared.name,
+                panic_message(&*payload)
+            );
+        }
+        let Slot::Yielded(reason) = shared.slot.replace(Slot::Parked) else {
+            unreachable!("process returned control without yielding")
         };
-        if let Some(park_time) = reason.park_time() {
-            *now = (*now).max(park_time);
-        }
-        match reason {
-            YieldReason::ResumeAt { .. } | YieldReason::Blocked { .. } => {}
-            YieldReason::Finished(_) => {
-                self.mark_finished(id);
-            }
-            YieldReason::Panicked(msg) => {
-                self.mark_finished(id);
-                panic!("simulated process '{}' panicked: {msg}", shared.name);
-            }
+        *now = (*now).max(reason.park_time());
+        if let YieldReason::Finished(_) = reason {
+            // Frees the process's stack once `coro` goes out of scope.
+            self.procs.borrow_mut()[id.0].coro = None;
         }
     }
+}
 
-    fn mark_finished(&self, id: ProcId) {
-        let mut table = self.procs.lock();
-        let entry = &mut table[id.0];
-        entry.finished = true;
-        if let Some(join) = entry.join.take() {
-            drop(table); // join without holding the table lock
-            let _ = join.join();
-        }
-    }
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 impl Default for Simulation {
@@ -230,21 +226,20 @@ impl Default for Simulation {
 
 impl Drop for Simulation {
     fn drop(&mut self) {
-        // Unwind any process thread still parked (deadlocked processes, or
-        // a run abandoned at a horizon) so threads never leak across tests.
-        let mut table = self.procs.lock();
-        for entry in table.iter_mut() {
-            if entry.finished {
-                continue;
-            }
-            {
-                let mut slot = entry.shared.slot.lock();
-                *slot = Slot::Abort;
-                entry.shared.cv.notify_all();
-            }
-            if let Some(join) = entry.join.take() {
-                let _ = join.join();
-            }
+        // Unwind every process still parked (deadlocked, stopped at a
+        // horizon, or never started) so the locals on its stack drop.
+        // The table is not borrowed while a process unwinds.
+        let parked: Vec<_> = self
+            .procs
+            .borrow_mut()
+            .iter_mut()
+            .filter_map(|entry| Some((Rc::clone(&entry.shared), entry.coro.take()?)))
+            .collect();
+        for (shared, coro) in parked {
+            shared.slot.set(Slot::Abort);
+            // The process ends with `AbortToken`, or returns at once if it
+            // never started; either way there is nothing to report.
+            let _ = coro.resume();
         }
     }
 }
@@ -253,6 +248,7 @@ impl Drop for Simulation {
 mod tests {
     use super::*;
     use crate::time::us;
+    use parking_lot::Mutex;
 
     #[test]
     fn empty_simulation_completes_at_zero() {
@@ -356,6 +352,55 @@ mod tests {
             panic!("exploded");
         });
         sim.run();
+    }
+
+    #[test]
+    fn dropping_a_simulation_drops_every_parked_process() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let token = Arc::new(());
+
+        // One process panics while four siblings are parked mid-body; the
+        // simulation drops while that panic unwinds.
+        let mut sim = Simulation::new();
+        let sig = sim.handle().new_signal();
+        for i in 0..4 {
+            let (held, sig) = (Arc::clone(&token), sig.clone());
+            sim.spawn(format!("sibling{i}"), move |ctx| {
+                let _held = held;
+                ctx.wait(&sig);
+                unreachable!("never notified");
+            });
+        }
+        sim.spawn("boom", |ctx| {
+            ctx.advance(1);
+            panic!("exploded");
+        });
+        assert_eq!(Arc::strong_count(&token), 5);
+        let payload = catch_unwind(AssertUnwindSafe(move || {
+            let mut sim = sim;
+            sim.run();
+        }))
+        .expect_err("the panic surfaces from run");
+        let msg = payload.downcast_ref::<String>().expect("formatted message");
+        assert_eq!(msg, "simulated process 'boom' panicked: exploded");
+        assert_eq!(Arc::strong_count(&token), 1);
+
+        // A process stopped at a horizon, and one that never started.
+        let mut sim = Simulation::new();
+        let held = Arc::clone(&token);
+        sim.spawn("long", move |ctx| {
+            let _held = held;
+            for _ in 0..10 {
+                ctx.advance(us(10));
+            }
+        });
+        let held = Arc::clone(&token);
+        sim.spawn_at(us(100), "late", move |_| drop(held));
+        let report = sim.run_until(us(35));
+        assert_eq!(report.deadlocked, ["long", "late"]);
+        assert_eq!(Arc::strong_count(&token), 3);
+        drop(sim);
+        assert_eq!(Arc::strong_count(&token), 1);
     }
 
     #[test]
