@@ -10,7 +10,8 @@
 //! > `{epoch, alive_mask}`; a rejoined node exchanges verified traffic
 //! > in the new epoch.
 //!
-//! The run writes a JSON report with per-cell outcomes,
+//! The matrix runs through the shared `obs::campaign` runner. The run
+//! writes a JSON report with per-cell outcomes,
 //! detection-latency percentiles, and campaign-wide suspicion/death
 //! staleness histograms (aggregated from every endpoint's
 //! [`bbp::DetectionHists`]) to `$CHAOS_SOAK_REPORT` (defaulting to
@@ -24,12 +25,10 @@
 //!     cargo test -p bbp --test chaos_soak -- --nocapture
 //! ```
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bbp::{BbpCluster, BbpConfig, MembershipView};
-
-mod common;
+use des::obs::campaign::{Campaign, Cell, CellReport, Fields, Histories};
 use des::obs::{FlightGuard, LogHistogram};
 use des::{ms, us, Simulation, Time};
 use parking_lot::Mutex;
@@ -126,8 +125,6 @@ fn payload(index: u32, seed: u64) -> Vec<u8> {
 }
 
 struct CellOutcome {
-    kind: ChaosKind,
-    seed: u64,
     scenario: String,
     /// Per-rank final `{epoch, alive_mask}` (None for dead ranks).
     final_views: Vec<Option<MembershipView>>,
@@ -139,16 +136,12 @@ struct CellOutcome {
     violations: Vec<String>,
 }
 
-impl CellOutcome {
-    fn repro(&self) -> String {
-        format!(
-            "CHAOS_KIND={} CHAOS_SEED={} cargo test -p bbp --test chaos_soak -- --nocapture",
-            self.kind.name(),
-            self.seed
-        )
+impl CellReport for CellOutcome {
+    fn violations(&self) -> &[String] {
+        &self.violations
     }
 
-    fn to_json(&self) -> String {
+    fn write_fields(&self, f: &mut Fields<'_>) {
         let views = self
             .final_views
             .iter()
@@ -158,41 +151,19 @@ impl CellOutcome {
             })
             .collect::<Vec<_>>()
             .join(",");
-        format!(
-            r#"{{"kind":"{}","seed":{},"scenario":"{}","final_views":[{}],"detect_ns":{},"sent_ok":{},"delivered":{},"violations":[{}],"repro":"{}"}}"#,
-            self.kind.name(),
-            self.seed,
-            self.scenario,
-            views,
-            self.detect_ns.map_or("null".into(), |d| d.to_string()),
-            self.sent_ok,
-            self.delivered,
-            self.violations
-                .iter()
-                .map(|v| format!("\"{}\"", v.replace('"', "'")))
-                .collect::<Vec<_>>()
-                .join(","),
-            self.repro()
-        )
+        f.str("scenario", &self.scenario)
+            .raw("final_views", format!("[{views}]"))
+            .raw(
+                "detect_ns",
+                self.detect_ns.map_or("null".into(), |d| d.to_string()),
+            )
+            .raw("sent_ok", self.sent_ok)
+            .raw("delivered", self.delivered);
     }
 }
 
-type History = Vec<(Time, MembershipView)>;
-
-/// Record a view transition (idempotent per distinct view).
-fn record(histories: &Mutex<Vec<History>>, rank: usize, now: Time, v: MembershipView) {
-    let mut h = histories.lock();
-    if h[rank].last().map(|(_, last)| *last) != Some(v) {
-        h[rank].push((now, v));
-    }
-}
-
-fn run_cell(
-    kind: ChaosKind,
-    seed: u64,
-    suspect: &LogHistogram,
-    death: &LogHistogram,
-) -> CellOutcome {
+fn run_cell(cell: &Cell<ChaosKind>, suspect: &LogHistogram, death: &LogHistogram) -> CellOutcome {
+    let (kind, seed) = (cell.kind, cell.seed);
     let onset = us(100 + (seed % 7) * 30);
     let reboot_after = us(1_300);
     let end = ms(4);
@@ -201,10 +172,7 @@ fn run_cell(
 
     let plan = kind.plan(seed, onset, reboot_after);
     let mut sim = Simulation::new();
-    let flight = FlightGuard::new(
-        format!("chaos_{}_seed{}", kind.name(), seed),
-        sim.recorder_arc(),
-    );
+    let flight = FlightGuard::new(cell.label(), sim.recorder_arc());
     let cluster = BbpCluster::with_hardware(
         &sim.handle(),
         BbpConfig::membership_for_nodes(NODES),
@@ -216,7 +184,7 @@ fn run_cell(
     // every one so the campaign can aggregate after the cell ends.
     let mut det_hists = Vec::new();
 
-    let histories: Arc<Mutex<Vec<History>>> = Arc::new(Mutex::new(vec![Vec::new(); NODES]));
+    let histories = Arc::new(Histories::new(NODES));
     let finals: Arc<Mutex<Vec<Option<MembershipView>>>> = Arc::new(Mutex::new(vec![None; NODES]));
     let violations: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let sent_ok = Arc::new(Mutex::new(0u32));
@@ -246,7 +214,7 @@ fn run_cell(
                     break;
                 }
                 ep.membership_tick(ctx);
-                record(&histories, rank, ctx.now(), ep.membership_view().unwrap());
+                histories.record(rank, ctx.now(), ep.membership_view().unwrap());
                 if rank == snd && msg_i < MSGS && ctx.now() >= next_send {
                     match ep.send(ctx, rcv, &payload(msg_i, seed)) {
                         Ok(()) => *sent_ok.lock() += 1,
@@ -302,7 +270,7 @@ fn run_cell(
         sim.spawn("n3-reborn", move |ctx| {
             ctx.wait_until(onset + reboot_after + us(20));
             match reborn.rejoin(ctx, ms(2)) {
-                Ok(view) => record(&histories, 3, ctx.now(), view),
+                Ok(view) => histories.record(3, ctx.now(), view),
                 Err(e) => {
                     violations.lock().push(format!("rejoin failed: {e}"));
                     return;
@@ -319,7 +287,7 @@ fn run_cell(
             }
             while ctx.now() < end {
                 reborn.membership_tick(ctx);
-                record(&histories, 3, ctx.now(), reborn.membership_view().unwrap());
+                histories.record(3, ctx.now(), reborn.membership_view().unwrap());
                 ctx.advance(us(10));
             }
             finals.lock()[3] = reborn.membership_view();
@@ -329,8 +297,6 @@ fn run_cell(
     let report = sim.run();
 
     let mut cell = CellOutcome {
-        kind,
-        seed,
         scenario: plan.describe(),
         final_views: finals.lock().clone(),
         detect_ns: None,
@@ -368,7 +334,7 @@ fn run_cell(
     let continuous: Vec<usize> = (0..NODES)
         .filter(|r| !victims.iter().any(|(v, _)| v == r))
         .collect();
-    let h = histories.lock();
+    let h = histories.snapshot();
     let reference: Vec<MembershipView> = h[continuous[0]].iter().map(|(_, v)| *v).collect();
     for &r in &continuous[1..] {
         let got: Vec<MembershipView> = h[r].iter().map(|(_, v)| *v).collect();
@@ -429,14 +395,7 @@ fn run_cell(
         suspect.merge(&d.suspect_ns);
         death.merge(&d.death_ns);
     }
-    if !cell.violations.is_empty() {
-        if let Some(path) = flight.dump_now() {
-            eprintln!(
-                "violating cell's flight recorder dumped to {}",
-                path.display()
-            );
-        }
-    }
+    flight.dump_if_violated(&cell.violations);
     cell
 }
 
@@ -447,106 +406,48 @@ fn percentile(sorted: &[u64], p: usize) -> u64 {
     sorted[(sorted.len() - 1) * p / 100]
 }
 
-fn report_path() -> String {
-    std::env::var("CHAOS_SOAK_REPORT")
-        .unwrap_or_else(|_| format!("{}/chaos_soak.json", env!("CARGO_TARGET_TMPDIR")))
-}
-
 #[test]
 fn chaos_soak_converges_and_preserves_survivor_traffic() {
-    let kind_filter = std::env::var("CHAOS_KIND").ok();
-    let seed_filter = std::env::var("CHAOS_SEED").ok().map(|s| {
-        s.parse::<u64>()
-            .expect("CHAOS_SEED must be an unsigned integer")
-    });
-
     let suspect = LogHistogram::new();
     let death = LogHistogram::new();
-    let mut cells = Vec::new();
-    let mut walls: Vec<(f64, String)> = Vec::new();
-    for kind in KINDS {
-        if kind_filter.as_deref().is_some_and(|f| f != kind.name()) {
-            continue;
-        }
-        for seed in SEEDS {
-            if seed_filter.is_some_and(|f| f != seed) {
-                continue;
-            }
-            let start = std::time::Instant::now();
-            cells.push(run_cell(kind, seed, &suspect, &death));
-            walls.push((
-                start.elapsed().as_secs_f64() * 1e3,
-                format!("{} seed={seed}", kind.name()),
-            ));
-        }
-    }
-    common::enforce_cell_budget(&walls);
-    assert!(
-        !cells.is_empty(),
-        "the CHAOS_KIND/CHAOS_SEED filters matched no cell"
-    );
-
-    let mut detects: Vec<u64> = cells.iter().filter_map(|c| c.detect_ns).collect();
-    detects.sort_unstable();
-    let violating: Vec<&CellOutcome> = cells.iter().filter(|c| !c.violations.is_empty()).collect();
-
-    let mut json = String::from("{\"cells\":[\n");
-    json.push_str(
-        &cells
-            .iter()
-            .map(CellOutcome::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n"),
-    );
-    write!(
-        json,
-        "\n],\"detection_latency_ns\":{{\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}},\
-         \"suspect_latency_ns\":{{\"count\":{},\"p50\":{},\"p99\":{}}},\
-         \"death_latency_ns\":{{\"count\":{},\"p50\":{},\"p99\":{}}},\
-         \"total\":{},\"violations\":{}}}\n",
-        percentile(&detects, 50),
-        percentile(&detects, 90),
-        percentile(&detects, 99),
-        percentile(&detects, 100),
-        suspect.count(),
-        suspect.p50(),
-        suspect.p99(),
-        death.count(),
-        death.p50(),
-        death.p99(),
-        cells.len(),
-        violating.len()
+    let run = Campaign::new(
+        "CHAOS",
+        "cargo test -p bbp --test chaos_soak -- --nocapture",
+        &KINDS,
+        ChaosKind::name,
+        &SEEDS,
     )
-    .unwrap();
-    let path = report_path();
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write report {path}: {e}"));
+    .run(|cell| run_cell(cell, &suspect, &death));
+
+    let mut detects: Vec<u64> = run.results().filter_map(|c| c.detect_ns).collect();
+    detects.sort_unstable();
+    let [p50, p90, p99, max] = [50, 90, 99, 100].map(|p| percentile(&detects, p));
+    let staleness = |h: &LogHistogram| {
+        format!(
+            r#"{{"count":{},"p50":{},"p99":{}}}"#,
+            h.count(),
+            h.p50(),
+            h.p99()
+        )
+    };
+    let extras = [
+        (
+            "detection_latency_ns",
+            format!(r#"{{"p50":{p50},"p90":{p90},"p99":{p99},"max":{max}}}"#),
+        ),
+        ("suspect_latency_ns", staleness(&suspect)),
+        ("death_latency_ns", staleness(&death)),
+    ];
+    run.write_report("chaos_soak", env!("CARGO_TARGET_TMPDIR"), &extras);
     println!(
-        "chaos soak: {} cells, {} violating; detection p50 {} µs, p99 {} µs; \
-         suspicion staleness p50 {} µs (n={}), death staleness p50 {} µs (n={}); report at {path}",
-        cells.len(),
-        violating.len(),
-        percentile(&detects, 50) / 1_000,
-        percentile(&detects, 99) / 1_000,
+        "chaos soak: detection p50 {} µs, p99 {} µs; suspicion staleness p50 {} µs (n={}), \
+         death staleness p50 {} µs (n={})",
+        p50 / 1_000,
+        p99 / 1_000,
         suspect.p50() / 1_000,
         suspect.count(),
         death.p50() / 1_000,
         death.count(),
     );
-
-    if !violating.is_empty() {
-        let mut msg = String::from("chaos-soak contract violations:\n");
-        for c in violating {
-            for v in &c.violations {
-                writeln!(
-                    msg,
-                    "  [{} seed={}] {v}\n    repro: {}",
-                    c.kind.name(),
-                    c.seed,
-                    c.repro()
-                )
-                .unwrap();
-            }
-        }
-        panic!("{msg}");
-    }
+    run.finish();
 }

@@ -6,8 +6,9 @@
 //! > every message is either delivered byte-identical, in order, without
 //! > duplication — or its send/recv reports a typed [`BbpError`].
 //!
-//! The run writes a machine-readable JSON report (for the CI fault-matrix
-//! job to archive and gate on) to `$FAULT_CAMPAIGN_REPORT`, defaulting to
+//! The matrix runs through the shared `obs::campaign` runner, which
+//! writes a machine-readable JSON report (for CI to archive and gate on)
+//! to `$FAULT_CAMPAIGN_REPORT`, defaulting to
 //! `$CARGO_TARGET_TMPDIR/fault_campaign.json`. A violation fails the test
 //! with the exact filter environment that reproduces the single cell:
 //!
@@ -16,12 +17,10 @@
 //!     cargo test -p bbp --test fault_campaign -- --nocapture
 //! ```
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bbp::{BbpCluster, BbpConfig, BbpError};
-
-mod common;
+use des::obs::campaign::{Campaign, Cell, CellReport, Fields};
 use des::{us, Simulation};
 use parking_lot::Mutex;
 use scramnet::fault::FOREVER;
@@ -112,9 +111,6 @@ fn payload(index: u32, size: usize) -> Vec<u8> {
 
 /// One cell's outcome, ready for the JSON report.
 struct CellResult {
-    kind: FaultKind,
-    seed: u64,
-    size: usize,
     scenario: String,
     sent_ok: Vec<u32>,
     send_errors: Vec<(u32, String)>,
@@ -127,51 +123,28 @@ struct CellResult {
     violations: Vec<String>,
 }
 
-impl CellResult {
-    fn repro(&self) -> String {
-        format!(
-            "FAULT_KIND={} FAULT_SEED={} FAULT_SIZE={} \
-             cargo test -p bbp --test fault_campaign -- --nocapture",
-            self.kind.name(),
-            self.seed,
-            self.size
-        )
+impl CellReport for CellResult {
+    fn violations(&self) -> &[String] {
+        &self.violations
     }
 
-    fn to_json(&self) -> String {
-        let mut s = String::new();
-        write!(
-            s,
-            r#"{{"kind":"{}","seed":{},"size":{},"scenario":"{}","sent_ok":{},"send_errors":{},"delivered":{},"recv_errors":{},"phantom_rejects":{},"violations":[{}],"repro":"{}"}}"#,
-            self.kind.name(),
-            self.seed,
-            self.size,
-            self.scenario,
-            self.sent_ok.len(),
-            self.send_errors.len(),
-            self.delivered.len(),
-            self.recv_errors.len(),
-            self.phantom_rejects,
-            self.violations
-                .iter()
-                .map(|v| format!("\"{}\"", v.replace('"', "'")))
-                .collect::<Vec<_>>()
-                .join(","),
-            self.repro()
-        )
-        .unwrap();
-        s
+    fn write_fields(&self, f: &mut Fields<'_>) {
+        f.str("scenario", &self.scenario)
+            .raw("sent_ok", self.sent_ok.len())
+            .raw("send_errors", self.send_errors.len())
+            .raw("delivered", self.delivered.len())
+            .raw("recv_errors", self.recv_errors.len())
+            .raw("phantom_rejects", self.phantom_rejects);
     }
 }
 
 /// Run one campaign cell and evaluate the invariant.
-fn run_cell(kind: FaultKind, seed: u64, size: usize) -> CellResult {
+fn run_cell(cell: &Cell<FaultKind>) -> CellResult {
+    let (kind, seed) = (cell.kind, cell.seed);
+    let size = cell.size.expect("the fault matrix has a size axis");
     let plan = kind.plan(seed);
     let mut sim = Simulation::new();
-    let flight = des::obs::FlightGuard::new(
-        format!("fault_{}_seed{}_size{}", kind.name(), seed, size),
-        sim.recorder_arc(),
-    );
+    let flight = des::obs::FlightGuard::new(cell.label(), sim.recorder_arc());
     let cluster = BbpCluster::with_hardware(
         &sim.handle(),
         BbpConfig::reliable_for_nodes(NODES),
@@ -237,9 +210,6 @@ fn run_cell(kind: FaultKind, seed: u64, size: usize) -> CellResult {
     let report = sim.run();
 
     let mut cell = CellResult {
-        kind,
-        seed,
-        size,
         scenario: plan.describe(),
         sent_ok: Vec::new(),
         send_errors: Vec::new(),
@@ -336,118 +306,38 @@ fn run_cell(kind: FaultKind, seed: u64, size: usize) -> CellResult {
 
     // A violating cell's recent lifecycle ring is the postmortem the
     // repro line starts from; dump it before the recorder goes away.
-    if !cell.violations.is_empty() {
-        if let Some(path) = flight.dump_now() {
-            eprintln!(
-                "violating cell's flight recorder dumped to {}",
-                path.display()
-            );
-        }
-    }
+    flight.dump_if_violated(&cell.violations);
 
     cell
 }
 
-fn report_path() -> String {
-    std::env::var("FAULT_CAMPAIGN_REPORT")
-        .unwrap_or_else(|_| format!("{}/fault_campaign.json", env!("CARGO_TARGET_TMPDIR")))
-}
-
 #[test]
 fn fault_matrix_holds_the_reliability_invariant() {
-    let kind_filter = std::env::var("FAULT_KIND").ok();
-    let seed_filter = std::env::var("FAULT_SEED").ok().map(|s| {
-        s.parse::<u64>()
-            .expect("FAULT_SEED must be an unsigned integer")
-    });
-    let size_filter = std::env::var("FAULT_SIZE").ok().map(|s| {
-        s.parse::<usize>()
-            .expect("FAULT_SIZE must be an unsigned integer")
-    });
-
-    let mut cells = Vec::new();
-    let mut walls: Vec<(f64, String)> = Vec::new();
-    for kind in KINDS {
-        if kind_filter.as_deref().is_some_and(|f| f != kind.name()) {
-            continue;
-        }
-        for seed in SEEDS {
-            if seed_filter.is_some_and(|f| f != seed) {
-                continue;
-            }
-            for size in SIZES {
-                if size_filter.is_some_and(|f| f != size) {
-                    continue;
-                }
-                let start = std::time::Instant::now();
-                cells.push(run_cell(kind, seed, size));
-                walls.push((
-                    start.elapsed().as_secs_f64() * 1e3,
-                    format!("{} seed={seed} size={size}", kind.name()),
-                ));
-            }
-        }
-    }
-    common::enforce_cell_budget(&walls);
-    assert!(
-        !cells.is_empty(),
-        "the FAULT_KIND/FAULT_SEED/FAULT_SIZE filters matched no cell"
-    );
-
-    let violating: Vec<&CellResult> = cells.iter().filter(|c| !c.violations.is_empty()).collect();
-    let mut json = String::from("{\"cells\":[\n");
-    json.push_str(
-        &cells
-            .iter()
-            .map(CellResult::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n"),
-    );
-    write!(
-        json,
-        "\n],\"total\":{},\"violations\":{}}}\n",
-        cells.len(),
-        violating.len()
+    let run = Campaign::new(
+        "FAULT",
+        "cargo test -p bbp --test fault_campaign -- --nocapture",
+        &KINDS,
+        FaultKind::name,
+        &SEEDS,
     )
-    .unwrap();
-    let path = report_path();
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write report {path}: {e}"));
-    println!(
-        "fault campaign: {} cells, {} violating; report at {path}",
-        cells.len(),
-        violating.len()
-    );
+    .sizes(&SIZES)
+    .run(run_cell);
+    run.write_report("fault_campaign", env!("CARGO_TARGET_TMPDIR"), &[]);
 
     // The deliberate flag pokes in the corrupt cells must exercise the
     // phantom-rejection path (only meaningful over the full matrix — a
     // filtered single cell may legitimately see none).
-    if kind_filter.is_none() && seed_filter.is_none() && size_filter.is_none() {
-        let phantoms: u64 = cells
+    if !run.is_filtered() {
+        let phantoms: u64 = run
+            .cells
             .iter()
-            .filter(|c| c.kind == FaultKind::Corrupt)
-            .map(|c| c.phantom_rejects)
+            .filter(|f| f.cell.kind == FaultKind::Corrupt)
+            .map(|f| f.result.phantom_rejects)
             .sum();
         assert!(
             phantoms > 0,
             "corrupt cells never hit the phantom-reject path — the poke is broken"
         );
     }
-
-    if !violating.is_empty() {
-        let mut msg = String::from("fault-campaign invariant violations:\n");
-        for c in violating {
-            for v in &c.violations {
-                writeln!(
-                    msg,
-                    "  [{} seed={} size={}] {v}\n    repro: {}",
-                    c.kind.name(),
-                    c.seed,
-                    c.size,
-                    c.repro()
-                )
-                .unwrap();
-            }
-        }
-        panic!("{msg}");
-    }
+    run.finish();
 }

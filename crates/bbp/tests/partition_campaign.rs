@@ -12,7 +12,8 @@
 //! > converge on a single view history — no node ever observes two
 //! > different masks for the same epoch.
 //!
-//! The run writes a JSON report with per-cell outcomes to
+//! The matrix runs through the shared `obs::campaign` runner. The run
+//! writes a JSON report with per-cell outcomes to
 //! `$PARTITION_CAMPAIGN_REPORT` (defaulting to
 //! `$CARGO_TARGET_TMPDIR/partition_campaign.json`). A violating cell
 //! dumps its flight-recorder ring to `$FLIGHT_DUMP_DIR` for postmortem,
@@ -25,12 +26,10 @@
 //! ```
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bbp::{BbpCluster, BbpConfig, BbpError, EndpointStats, MembershipView};
-
-mod common;
+use des::obs::campaign::{Campaign, Cell, CellReport, Fields, Histories};
 use des::obs::FlightGuard;
 use des::{ms, us, Simulation, Time};
 use parking_lot::Mutex;
@@ -158,8 +157,6 @@ fn payload(index: u32, seed: u64) -> Vec<u8> {
 }
 
 struct CellOutcome {
-    kind: PartitionKind,
-    seed: u64,
     scenario: String,
     final_views: Vec<Option<MembershipView>>,
     /// Per-rank `is_partitioned()` at cell end.
@@ -173,16 +170,12 @@ struct CellOutcome {
     violations: Vec<String>,
 }
 
-impl CellOutcome {
-    fn repro(&self) -> String {
-        format!(
-            "PARTITION_KIND={} PARTITION_SEED={} cargo test -p bbp --test partition_campaign -- --nocapture",
-            self.kind.name(),
-            self.seed
-        )
+impl CellReport for CellOutcome {
+    fn violations(&self) -> &[String] {
+        &self.violations
     }
 
-    fn to_json(&self) -> String {
+    fn write_fields(&self, f: &mut Fields<'_>) {
         let views = self
             .final_views
             .iter()
@@ -192,39 +185,20 @@ impl CellOutcome {
             })
             .collect::<Vec<_>>()
             .join(",");
-        format!(
-            r#"{{"kind":"{}","seed":{},"scenario":"{}","final_views":[{}],"final_frozen":{:?},"partitions_detected":{},"stale_epoch_rejects":{},"sent_ok":{},"delivered":{},"partitioned_errors":{},"violations":[{}],"repro":"{}"}}"#,
-            self.kind.name(),
-            self.seed,
-            self.scenario,
-            views,
-            self.final_frozen,
-            self.partitions_detected,
-            self.stale_epoch_rejects,
-            self.sent_ok,
-            self.delivered,
-            self.partitioned_errors,
-            self.violations
-                .iter()
-                .map(|v| format!("\"{}\"", v.replace('"', "'")))
-                .collect::<Vec<_>>()
-                .join(","),
-            self.repro()
-        )
-    }
-}
-
-type History = Vec<(Time, MembershipView)>;
-
-fn record(histories: &Mutex<Vec<History>>, rank: usize, now: Time, v: MembershipView) {
-    let mut h = histories.lock();
-    if h[rank].last().map(|(_, last)| *last) != Some(v) {
-        h[rank].push((now, v));
+        f.str("scenario", &self.scenario)
+            .raw("final_views", format!("[{views}]"))
+            .raw("final_frozen", format!("{:?}", self.final_frozen))
+            .raw("partitions_detected", self.partitions_detected)
+            .raw("stale_epoch_rejects", self.stale_epoch_rejects)
+            .raw("sent_ok", self.sent_ok)
+            .raw("delivered", self.delivered)
+            .raw("partitioned_errors", self.partitioned_errors);
     }
 }
 
 #[allow(clippy::too_many_lines)]
-fn run_cell(kind: PartitionKind, seed: u64) -> CellOutcome {
+fn run_cell(cell: &Cell<PartitionKind>) -> CellOutcome {
+    let (kind, seed) = (cell.kind, cell.seed);
     let n = kind.nodes();
     let onset = us(100 + (seed % 7) * 30);
     let end = kind.end();
@@ -234,10 +208,7 @@ fn run_cell(kind: PartitionKind, seed: u64) -> CellOutcome {
 
     let plan = kind.plan(seed, onset);
     let mut sim = Simulation::new();
-    let flight = FlightGuard::new(
-        format!("partition_{}_seed{}", kind.name(), seed),
-        sim.recorder_arc(),
-    );
+    let flight = FlightGuard::new(cell.label(), sim.recorder_arc());
     let cluster = BbpCluster::with_hardware(
         &sim.handle(),
         BbpConfig::quorum_for_nodes(n),
@@ -246,7 +217,7 @@ fn run_cell(kind: PartitionKind, seed: u64) -> CellOutcome {
     );
     plan.arm(cluster.ring());
 
-    let histories: Arc<Mutex<Vec<History>>> = Arc::new(Mutex::new(vec![Vec::new(); n]));
+    let histories = Arc::new(Histories::new(n));
     let finals: Arc<Mutex<Vec<Option<MembershipView>>>> = Arc::new(Mutex::new(vec![None; n]));
     let frozen_finals: Arc<Mutex<Vec<bool>>> = Arc::new(Mutex::new(vec![false; n]));
     let stats_finals: Arc<Mutex<Vec<EndpointStats>>> =
@@ -291,7 +262,7 @@ fn run_cell(kind: PartitionKind, seed: u64) -> CellOutcome {
             let mut shook = false;
             while ctx.now() < end {
                 ep.membership_tick(ctx);
-                record(&histories, rank, ctx.now(), ep.membership_view().unwrap());
+                histories.record(rank, ctx.now(), ep.membership_view().unwrap());
                 // The in-segment survivor stream.
                 if rank == snd && msg_i < msgs && ctx.now() >= next_send {
                     match ep.send(ctx, rcv, &payload(msg_i, seed)) {
@@ -407,8 +378,6 @@ fn run_cell(kind: PartitionKind, seed: u64) -> CellOutcome {
 
     let stats = stats_finals.lock().clone();
     let mut cell = CellOutcome {
-        kind,
-        seed,
         scenario: plan.describe(),
         final_views: finals.lock().clone(),
         final_frozen: frozen_finals.lock().clone(),
@@ -482,7 +451,7 @@ fn run_cell(kind: PartitionKind, seed: u64) -> CellOutcome {
 
     // Split-brain invariant: across every view any rank ever held, one
     // epoch maps to exactly one mask.
-    let h = histories.lock();
+    let h = histories.snapshot();
     let mut epoch_masks: HashMap<u32, u32> = HashMap::new();
     for (r, hist) in h.iter().enumerate() {
         for &(_, v) in hist {
@@ -572,92 +541,20 @@ fn run_cell(kind: PartitionKind, seed: u64) -> CellOutcome {
         }
     }
 
-    if !cell.violations.is_empty() {
-        if let Some(path) = flight.dump_now() {
-            eprintln!(
-                "violating cell's flight recorder dumped to {}",
-                path.display()
-            );
-        }
-    }
+    flight.dump_if_violated(&cell.violations);
     cell
-}
-
-fn report_path() -> String {
-    std::env::var("PARTITION_CAMPAIGN_REPORT")
-        .unwrap_or_else(|_| format!("{}/partition_campaign.json", env!("CARGO_TARGET_TMPDIR")))
 }
 
 #[test]
 fn partition_campaign_freezes_minorities_and_heals_without_split_brain() {
-    let kind_filter = std::env::var("PARTITION_KIND").ok();
-    let seed_filter = std::env::var("PARTITION_SEED").ok().map(|s| {
-        s.parse::<u64>()
-            .expect("PARTITION_SEED must be an unsigned integer")
-    });
-
-    let mut cells = Vec::new();
-    let mut walls: Vec<(f64, String)> = Vec::new();
-    for kind in KINDS {
-        if kind_filter.as_deref().is_some_and(|f| f != kind.name()) {
-            continue;
-        }
-        for seed in SEEDS {
-            if seed_filter.is_some_and(|f| f != seed) {
-                continue;
-            }
-            let start = std::time::Instant::now();
-            cells.push(run_cell(kind, seed));
-            walls.push((
-                start.elapsed().as_secs_f64() * 1e3,
-                format!("{} seed={seed}", kind.name()),
-            ));
-        }
-    }
-    common::enforce_cell_budget(&walls);
-    assert!(
-        !cells.is_empty(),
-        "the PARTITION_KIND/PARTITION_SEED filters matched no cell"
-    );
-
-    let violating: Vec<&CellOutcome> = cells.iter().filter(|c| !c.violations.is_empty()).collect();
-    let mut json = String::from("{\"cells\":[\n");
-    json.push_str(
-        &cells
-            .iter()
-            .map(CellOutcome::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n"),
-    );
-    write!(
-        json,
-        "\n],\"total\":{},\"violations\":{}}}\n",
-        cells.len(),
-        violating.len()
+    let run = Campaign::new(
+        "PARTITION",
+        "cargo test -p bbp --test partition_campaign -- --nocapture",
+        &KINDS,
+        PartitionKind::name,
+        &SEEDS,
     )
-    .unwrap();
-    let path = report_path();
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write report {path}: {e}"));
-    println!(
-        "partition campaign: {} cells, {} violating; report at {path}",
-        cells.len(),
-        violating.len()
-    );
-
-    if !violating.is_empty() {
-        let mut msg = String::from("partition-campaign contract violations:\n");
-        for c in violating {
-            for v in &c.violations {
-                writeln!(
-                    msg,
-                    "  [{} seed={}] {v}\n    repro: {}",
-                    c.kind.name(),
-                    c.seed,
-                    c.repro()
-                )
-                .unwrap();
-            }
-        }
-        panic!("{msg}");
-    }
+    .run(run_cell);
+    run.write_report("partition_campaign", env!("CARGO_TARGET_TMPDIR"), &[]);
+    run.finish();
 }

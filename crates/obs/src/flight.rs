@@ -211,6 +211,20 @@ impl FlightGuard {
     pub fn dump_now(&self) -> Option<std::path::PathBuf> {
         self.recorder.flight().dump_to_dir(&self.label)
     }
+
+    /// Dump when a campaign cell recorded `violations` (cells report
+    /// violations instead of panicking), and say where.
+    pub fn dump_if_violated(&self, violations: &[String]) {
+        if violations.is_empty() {
+            return;
+        }
+        if let Some(path) = self.dump_now() {
+            eprintln!(
+                "violating cell's flight recorder dumped to {}",
+                path.display()
+            );
+        }
+    }
 }
 
 impl Drop for FlightGuard {

@@ -33,6 +33,11 @@
 //!   enable gate, and the [`health::HealthSpec`] engine turns campaign
 //!   invariants over those series into declarative rules.
 //!
+//! - **Campaigns** ([`campaign::Campaign`]) run every deterministic
+//!   kind × seed matrix — fault, chaos, partition, workload — through
+//!   one filter, one repro format, one wall-clock budget, one report
+//!   writer and one violation digest.
+//!
 //! The recorder is **zero-overhead when disabled**: every recording call
 //! is one relaxed atomic load, no locks and no allocations (verified by
 //! `tests/obs_zero_cost.rs`). Two always-on facilities are budgeted just
@@ -56,6 +61,7 @@ mod chrome;
 mod event;
 mod recorder;
 
+pub mod campaign;
 pub mod flight;
 pub mod health;
 pub mod hist;

@@ -1,14 +1,13 @@
 //! The campaign matrix: (scenario × seed × size × load multiplier)
-//! cells, like the fault campaign one layer up the stack. Each cell runs
-//! [`run_cell`] and carries its own repro
-//! command; the matrix folds into the schema-v5 `capacity` section of
-//! the bench report — per scenario, the max sustainable load at the
-//! scenario's p999 SLO target, found by a deterministic load-multiplier
-//! sweep.
-
-use std::fmt::Write as _;
+//! cells, run through the shared [`obs::campaign`] runner like the
+//! fault, chaos and partition campaigns one layer down the stack. Each
+//! cell runs [`run_cell`]; the matrix folds into the schema-v5
+//! `capacity` section of the bench report — per scenario, the max
+//! sustainable load at the scenario's p999 SLO target, found by a
+//! deterministic load-multiplier sweep.
 
 use des::{ms, us};
+use obs::campaign::{Campaign, CellReport, Run};
 use obs::report::{BenchReport, CapacityCell, CapacityScenario};
 
 use crate::arrivals::ServiceTime;
@@ -67,11 +66,6 @@ impl WorkloadKind {
             WorkloadKind::Straggler => "straggler",
             WorkloadKind::Mixed => "mixed",
         }
-    }
-
-    /// Parse a scenario id (the `WORKLOAD_KIND` filter).
-    pub fn from_name(name: &str) -> Option<Self> {
-        KINDS.into_iter().find(|k| k.name() == name)
     }
 
     /// The scripted plan of one (kind, seed, size) scenario. Rates are
@@ -154,77 +148,25 @@ impl WorkloadKind {
     }
 }
 
-/// Which cells a campaign run covers.
-#[derive(Debug, Clone)]
-pub struct CampaignConfig {
-    /// Scenario families to run.
-    pub kinds: Vec<WorkloadKind>,
-    /// Seeds per scenario.
-    pub seeds: Vec<u64>,
-    /// Body sizes per scenario.
-    pub sizes: Vec<usize>,
-    /// The load-multiplier ladder.
-    pub mults: Vec<f64>,
-}
-
-impl CampaignConfig {
-    /// The full CI matrix: 6 kinds × 3 seeds × 2 sizes × 4 multipliers.
-    pub fn full() -> Self {
-        CampaignConfig {
-            kinds: KINDS.to_vec(),
-            seeds: SEEDS.to_vec(),
-            sizes: SIZES.to_vec(),
-            mults: MULTS.to_vec(),
-        }
-    }
-
-    /// The smoke matrix: every kind once per ladder end.
-    pub fn quick() -> Self {
-        CampaignConfig {
-            kinds: KINDS.to_vec(),
-            seeds: vec![1],
-            sizes: vec![64],
-            mults: vec![1.0, 4.0],
-        }
-    }
-
-    /// Narrow the matrix by the single-cell repro environment:
-    /// `WORKLOAD_KIND`, `WORKLOAD_SEED`, `WORKLOAD_SIZE`,
-    /// `WORKLOAD_LOAD`. Unknown filter values panic (a repro command
-    /// that silently matches nothing is worse than a crash).
-    pub fn filtered_by_env(mut self) -> Self {
-        if let Ok(k) = std::env::var("WORKLOAD_KIND") {
-            let kind = WorkloadKind::from_name(&k)
-                .unwrap_or_else(|| panic!("WORKLOAD_KIND '{k}' is not a scenario id"));
-            self.kinds.retain(|&x| x == kind);
-        }
-        if let Ok(s) = std::env::var("WORKLOAD_SEED") {
-            let seed: u64 = s
-                .parse()
-                .expect("WORKLOAD_SEED must be an unsigned integer");
-            self.seeds.retain(|&x| x == seed);
-            if self.seeds.is_empty() {
-                self.seeds = vec![seed];
-            }
-        }
-        if let Ok(s) = std::env::var("WORKLOAD_SIZE") {
-            let size: usize = s
-                .parse()
-                .expect("WORKLOAD_SIZE must be an unsigned integer");
-            self.sizes.retain(|&x| x == size);
-            if self.sizes.is_empty() {
-                self.sizes = vec![size];
-            }
-        }
-        if let Ok(s) = std::env::var("WORKLOAD_LOAD") {
-            let mult: f64 = s.parse().expect("WORKLOAD_LOAD must be a load multiplier");
-            self.mults.retain(|&x| (x - mult).abs() < 1e-9);
-            if self.mults.is_empty() {
-                self.mults = vec![mult];
-            }
-        }
-        self
-    }
+/// The campaign matrix, narrowed by the `WORKLOAD_KIND`/
+/// `WORKLOAD_SEED`/`WORKLOAD_SIZE`/`WORKLOAD_LOAD` repro environment:
+/// the full CI matrix (6 kinds × 3 seeds × 2 sizes × 4 multipliers), or
+/// with `quick` the smoke matrix (every kind once per ladder end).
+pub fn matrix(quick: bool) -> Campaign<WorkloadKind> {
+    let (seeds, sizes, mults): (&[u64], &[usize], &[f64]) = if quick {
+        (&[1], &[64], &[1.0, 4.0])
+    } else {
+        (&SEEDS, &SIZES, &MULTS)
+    };
+    Campaign::new(
+        "WORKLOAD",
+        "cargo run --release -p workload --bin workload-campaign",
+        &KINDS,
+        WorkloadKind::name,
+        seeds,
+    )
+    .sizes(sizes)
+    .loads(mults)
 }
 
 /// One executed campaign cell.
@@ -244,23 +186,15 @@ pub struct CampaignCell {
     pub p999_target_us: f64,
     /// Everything the executor measured.
     pub outcome: CellOutcome,
-    /// Host wall-clock time the cell took, milliseconds.
-    pub wall_ms: f64,
+}
+
+impl CellReport for CampaignCell {
+    fn violations(&self) -> &[String] {
+        &self.outcome.violations
+    }
 }
 
 impl CampaignCell {
-    /// The single-cell repro command.
-    pub fn repro(&self) -> String {
-        format!(
-            "WORKLOAD_KIND={} WORKLOAD_SEED={} WORKLOAD_SIZE={} WORKLOAD_LOAD={} \
-             cargo run --release -p workload --bin workload-campaign",
-            self.kind.name(),
-            self.seed,
-            self.size,
-            self.mult
-        )
-    }
-
     /// What limited this rung: `"violation"`, `"latency"`, `"shed"`, or
     /// `"none"` (sustained).
     pub fn limited_by(&self) -> &'static str {
@@ -280,180 +214,111 @@ impl CampaignCell {
         self.limited_by() == "none"
     }
 
-    /// One line per cell in the campaign log.
+    /// The cell's measurements as one campaign-log line.
     pub fn summary(&self) -> String {
         format!(
-            "[{} seed={} size={} x{}] offered {:.0}/s completed {:.0}/s \
-             p999 {:.0}us sheds {:.0}/s {} ({:.0} ms)",
-            self.kind.name(),
-            self.seed,
-            self.size,
-            self.mult,
+            "offered {:.0}/s completed {:.0}/s p999 {:.0}us sheds {:.0}/s {}",
             self.outcome.offered_hz(),
             self.outcome.throughput_hz(),
             self.outcome.p999_us(),
             self.outcome.sheds_per_sec(),
             self.limited_by(),
-            self.wall_ms,
         )
     }
 }
 
-/// An executed campaign.
-#[derive(Debug)]
-pub struct CampaignResult {
-    /// Every cell, matrix order.
-    pub cells: Vec<CampaignCell>,
-}
-
-impl CampaignResult {
-    /// Cells with invariant violations.
-    pub fn violated(&self) -> Vec<&CampaignCell> {
-        self.cells
+/// Fold the matrix into the schema-v5 capacity section: per
+/// (scenario, size), the max sustainable offered load at the scenario's
+/// p999 target. A rung counts as sustainable only when **every seed** at
+/// that multiplier sustained — the figure is the conservative envelope,
+/// not the luckiest seed.
+pub fn capacity<'a>(cells: impl IntoIterator<Item = &'a CampaignCell>) -> Vec<CapacityScenario> {
+    let cells: Vec<&CampaignCell> = cells.into_iter().collect();
+    let mut out = Vec::new();
+    for kind in KINDS {
+        let mut sizes: Vec<usize> = cells
             .iter()
-            .filter(|c| !c.outcome.violations.is_empty())
-            .collect()
-    }
-
-    /// The `wall_ms`-slowest cells, up to `n`.
-    pub fn slowest(&self, n: usize) -> Vec<&CampaignCell> {
-        let mut by_wall: Vec<&CampaignCell> = self.cells.iter().collect();
-        by_wall.sort_by(|a, b| b.wall_ms.total_cmp(&a.wall_ms));
-        by_wall.truncate(n);
-        by_wall
-    }
-
-    /// Fold the matrix into the schema-v5 capacity section: per
-    /// (scenario, size), the max sustainable offered load at the
-    /// scenario's p999 target. A rung counts as sustainable only when
-    /// **every seed** at that multiplier sustained — the figure is the
-    /// conservative envelope, not the luckiest seed.
-    pub fn capacity(&self) -> Vec<CapacityScenario> {
-        let mut out = Vec::new();
-        for kind in KINDS {
-            let mut sizes: Vec<usize> = self
-                .cells
+            .filter(|c| c.kind == kind)
+            .map(|c| c.size)
+            .collect();
+        sizes.sort_unstable();
+        sizes.dedup();
+        for size in sizes {
+            let group: Vec<&CampaignCell> = cells
                 .iter()
-                .filter(|c| c.kind == kind)
-                .map(|c| c.size)
+                .copied()
+                .filter(|c| c.kind == kind && c.size == size)
                 .collect();
-            sizes.sort_unstable();
-            sizes.dedup();
-            for size in sizes {
-                let group: Vec<&CampaignCell> = self
-                    .cells
-                    .iter()
-                    .filter(|c| c.kind == kind && c.size == size)
-                    .collect();
-                let mut mults: Vec<f64> = group.iter().map(|c| c.mult).collect();
-                mults.sort_by(f64::total_cmp);
-                mults.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
-                let mut best: Option<(f64, f64)> = None; // (mult, mean offered_hz)
-                for &m in &mults {
-                    let rung: Vec<&&CampaignCell> =
-                        group.iter().filter(|c| (c.mult - m).abs() < 1e-9).collect();
-                    if rung.iter().all(|c| c.sustained()) {
-                        let offered = rung.iter().map(|c| c.outcome.offered_hz()).sum::<f64>()
-                            / rung.len() as f64;
-                        if best.is_none_or(|(bm, _)| m > bm) {
-                            best = Some((m, offered));
-                        }
+            let mut mults: Vec<f64> = group.iter().map(|c| c.mult).collect();
+            mults.sort_by(f64::total_cmp);
+            mults.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
+            let mut best: Option<(f64, f64)> = None; // (mult, mean offered_hz)
+            for &m in &mults {
+                let rung: Vec<&&CampaignCell> =
+                    group.iter().filter(|c| (c.mult - m).abs() < 1e-9).collect();
+                if rung.iter().all(|c| c.sustained()) {
+                    let offered = rung.iter().map(|c| c.outcome.offered_hz()).sum::<f64>()
+                        / rung.len() as f64;
+                    if best.is_none_or(|(bm, _)| m > bm) {
+                        best = Some((m, offered));
                     }
                 }
-                out.push(CapacityScenario {
-                    scenario: kind.name().to_string(),
-                    size,
-                    p999_target_us: group[0].p999_target_us,
-                    max_sustainable_hz: best.map_or(0.0, |(_, hz)| hz),
-                    max_sustainable_mult: best.map_or(0.0, |(m, _)| m),
-                    cells: group
-                        .iter()
-                        .map(|c| CapacityCell {
-                            seed: c.seed,
-                            mult: c.mult,
-                            offered_hz: c.outcome.offered_hz(),
-                            completed_hz: c.outcome.throughput_hz(),
-                            p999_us: c.outcome.p999_us(),
-                            sheds_per_sec: c.outcome.sheds_per_sec(),
-                            violations: c.outcome.violations.len() as u64,
-                            limited_by: c.limited_by().to_string(),
-                        })
-                        .collect(),
-                });
             }
-        }
-        out
-    }
-
-    /// The full schema-v5 report document.
-    pub fn to_report(&self, generated_by: &str) -> BenchReport {
-        BenchReport {
-            generated_by: generated_by.to_string(),
-            capacity: self.capacity(),
-            ..BenchReport::default()
+            out.push(CapacityScenario {
+                scenario: kind.name().to_string(),
+                size,
+                p999_target_us: group[0].p999_target_us,
+                max_sustainable_hz: best.map_or(0.0, |(_, hz)| hz),
+                max_sustainable_mult: best.map_or(0.0, |(m, _)| m),
+                cells: group
+                    .iter()
+                    .map(|c| CapacityCell {
+                        seed: c.seed,
+                        mult: c.mult,
+                        offered_hz: c.outcome.offered_hz(),
+                        completed_hz: c.outcome.throughput_hz(),
+                        p999_us: c.outcome.p999_us(),
+                        sheds_per_sec: c.outcome.sheds_per_sec(),
+                        violations: c.outcome.violations.len() as u64,
+                        limited_by: c.limited_by().to_string(),
+                    })
+                    .collect(),
+            });
         }
     }
+    out
+}
 
-    /// The violation digest the campaign fails with: every violated
-    /// cell's findings plus its repro command.
-    pub fn violation_digest(&self) -> Option<String> {
-        let violating = self.violated();
-        if violating.is_empty() {
-            return None;
-        }
-        let mut msg = String::from("workload-campaign invariant violations:\n");
-        for c in violating {
-            for v in &c.outcome.violations {
-                writeln!(
-                    msg,
-                    "  [{} seed={} size={} x{}] {v}\n    repro: {}",
-                    c.kind.name(),
-                    c.seed,
-                    c.size,
-                    c.mult,
-                    c.repro()
-                )
-                .unwrap();
-            }
-        }
-        Some(msg)
+/// The full schema-v5 report document over `cells`.
+pub fn capacity_report<'a>(
+    cells: impl IntoIterator<Item = &'a CampaignCell>,
+    generated_by: &str,
+) -> BenchReport {
+    BenchReport {
+        generated_by: generated_by.to_string(),
+        capacity: capacity(cells),
+        ..BenchReport::default()
     }
 }
 
-/// Run the matrix. Each cell prints its one-line summary (and its repro
-/// command) as it completes.
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
-    let mut cells = Vec::new();
-    for &kind in &cfg.kinds {
-        for &seed in &cfg.seeds {
-            for &size in &cfg.sizes {
-                let plan = kind.plan(seed, size);
-                for &mult in &cfg.mults {
-                    let label = format!(
-                        "workload_{}_seed{}_size{}_x{}",
-                        kind.name(),
-                        seed,
-                        size,
-                        mult
-                    );
-                    let start = std::time::Instant::now();
-                    let outcome = run_cell(&plan, mult, &label);
-                    let cell = CampaignCell {
-                        kind,
-                        seed,
-                        size,
-                        mult,
-                        scenario: plan.describe(),
-                        p999_target_us: plan.p999_target_us,
-                        outcome,
-                        wall_ms: start.elapsed().as_secs_f64() * 1e3,
-                    };
-                    println!("{}", cell.summary());
-                    println!("    repro: {}", cell.repro());
-                    cells.push(cell);
-                }
-            }
-        }
-    }
-    CampaignResult { cells }
+/// Run the matrix. Each cell prints its one-line summary and its repro
+/// command as it completes.
+pub fn run_campaign(campaign: Campaign<WorkloadKind>) -> Run<WorkloadKind, CampaignCell> {
+    campaign.run(|cell| {
+        let size = cell.size.expect("the workload matrix has a size axis");
+        let mult = cell.load.expect("the workload matrix has a load axis");
+        let plan = cell.kind.plan(cell.seed, size);
+        let result = CampaignCell {
+            kind: cell.kind,
+            seed: cell.seed,
+            size,
+            mult,
+            scenario: plan.describe(),
+            p999_target_us: plan.p999_target_us,
+            outcome: run_cell(&plan, mult, cell.label()),
+        };
+        println!("[{}] {}", cell.tag(), result.summary());
+        println!("    repro: {}", cell.repro());
+        result
+    })
 }

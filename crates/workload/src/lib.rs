@@ -23,10 +23,11 @@
 //!   `capacity` report: per scenario, the max sustainable load at a
 //!   p999 latency target, found by a deterministic multiplier sweep.
 //!
-//! Every cell prints a `WORKLOAD_KIND`/`WORKLOAD_SEED`/`WORKLOAD_SIZE`/
-//! `WORKLOAD_LOAD` repro command, and violated cells dump their flight
-//! recorder, so a red campaign run always leaves a one-command
-//! postmortem trail.
+//! The matrix runs through the shared [`obs::campaign`] runner, like the
+//! fault, chaos and partition campaigns: every cell prints a
+//! `WORKLOAD_KIND`/`WORKLOAD_SEED`/`WORKLOAD_SIZE`/`WORKLOAD_LOAD` repro
+//! command, and violated cells dump their flight recorder, so a red
+//! campaign run always leaves a one-command postmortem trail.
 
 pub mod arrivals;
 pub mod campaign;
@@ -35,8 +36,8 @@ pub mod plan;
 
 pub use arrivals::{next_gap, Arrival, ArrivalState, ServiceTime};
 pub use campaign::{
-    run_campaign, CampaignCell, CampaignConfig, CampaignResult, WorkloadKind, KINDS, MULTS, SEEDS,
-    SIZES,
+    capacity, capacity_report, matrix, run_campaign, CampaignCell, WorkloadKind, KINDS, MULTS,
+    SEEDS, SIZES,
 };
 pub use cell::{cell_health_spec, run_cell, CellOutcome, FloodOutcome};
 pub use plan::{scaled_burst, Shape, Sidecar, Window, WorkloadPlan};

@@ -1,13 +1,15 @@
 //! Integration tests of the workload campaign machinery: cell
 //! determinism, per-scenario health at nominal load, the flood
-//! sidecar's residency invariant, capacity folding, and the repro
-//! environment filters.
+//! sidecar's residency invariant, the health spec as the only judge of
+//! the gauge-backed invariants, and capacity folding. The matrix
+//! filter, repro lines and violation digest are the shared
+//! `obs::campaign` runner's, tested there.
 
 use des::{ms, us};
 use obs::LogHistogram;
 use workload::{
-    run_cell, CampaignCell, CampaignConfig, CampaignResult, CellOutcome, ServiceTime, Shape,
-    Sidecar, WorkloadKind, WorkloadPlan, KINDS,
+    capacity, capacity_report, cell_health_spec, run_cell, CampaignCell, CellOutcome, ServiceTime,
+    Shape, Sidecar, WorkloadKind, WorkloadPlan, KINDS,
 };
 
 /// A small cell that still exercises servers, priorities, and drain.
@@ -121,6 +123,28 @@ fn health_monitor_mirrors_the_hand_rolled_invariants() {
     );
 }
 
+/// The health spec is the only judge of pool residency: the same
+/// finished cell, judged against a pool one buffer below its measured
+/// peak, is flagged on `rpc.buffers_in_use`.
+#[test]
+fn health_spec_flags_a_pool_one_below_the_residency_peak() {
+    let plan = small_plan(17);
+    let out = run_cell(&plan, 4.0, "wl_test_health_pool");
+    assert_eq!(out.violations, Vec::<String>::new());
+    assert!(out.max_residency >= 1, "the cell used the pool");
+
+    let tight = plan.clone().pool(out.max_residency - 1);
+    let violations = cell_health_spec(&tight).evaluate(&out.telemetry);
+    assert!(
+        violations
+            .iter()
+            .any(|v| v.metric == "rpc.buffers_in_use" && v.observed == out.max_residency as f64),
+        "a pool of {} must flag a residency peak of {}: {violations:?}",
+        out.max_residency - 1,
+        out.max_residency
+    );
+}
+
 /// A deliberately tightened spec over the same finished cell must flag
 /// the flood's legitimate parking — and dump the offending series next
 /// to the flight ring for postmortem.
@@ -225,7 +249,6 @@ fn synthetic_cell(mult: f64, p999_ns: u64, violations: Vec<String>) -> CampaignC
             health_violations: Vec::new(),
             telemetry: Vec::new(),
         },
-        wall_ms: 1.0,
     }
 }
 
@@ -233,14 +256,12 @@ fn synthetic_cell(mult: f64, p999_ns: u64, violations: Vec<String>) -> CampaignC
 fn capacity_picks_the_highest_fully_sustained_rung() {
     // x1 sustains, x2 violates, x4 would sustain on latency alone — but
     // the ladder's envelope is the highest rung where everything held.
-    let result = CampaignResult {
-        cells: vec![
-            synthetic_cell(1.0, 100_000, Vec::new()),
-            synthetic_cell(2.0, 100_000, vec!["fairness: synthetic".to_string()]),
-            synthetic_cell(4.0, 100_000, Vec::new()),
-        ],
-    };
-    let cap = result.capacity();
+    let cells = [
+        synthetic_cell(1.0, 100_000, Vec::new()),
+        synthetic_cell(2.0, 100_000, vec!["fairness: synthetic".to_string()]),
+        synthetic_cell(4.0, 100_000, Vec::new()),
+    ];
+    let cap = capacity(&cells);
     assert_eq!(cap.len(), 1);
     assert_eq!(cap[0].scenario, "incast");
     assert_eq!(cap[0].max_sustainable_mult, 4.0);
@@ -249,67 +270,23 @@ fn capacity_picks_the_highest_fully_sustained_rung() {
 
     // With the violation gone but the latency blown, x2 is latency
     // limited and x1 is the envelope.
-    let result = CampaignResult {
-        cells: vec![
-            synthetic_cell(1.0, 100_000, Vec::new()),
-            synthetic_cell(2.0, 900_000, Vec::new()),
-        ],
-    };
-    let cap = result.capacity();
+    let cells = [
+        synthetic_cell(1.0, 100_000, Vec::new()),
+        synthetic_cell(2.0, 900_000, Vec::new()),
+    ];
+    let cap = capacity(&cells);
     assert_eq!(cap[0].max_sustainable_mult, 1.0);
     assert_eq!(cap[0].cells[1].limited_by, "latency");
     assert!((cap[0].max_sustainable_hz - 100_000.0).abs() < 1.0);
 }
 
 #[test]
-fn violation_digest_carries_the_repro_command() {
-    let result = CampaignResult {
-        cells: vec![synthetic_cell(
-            1.0,
-            100_000,
-            vec!["priority: normal class starved".to_string()],
-        )],
-    };
-    let digest = result
-        .violation_digest()
-        .expect("a violated cell produces a digest");
-    assert!(digest.contains("priority: normal class starved"));
-    assert!(
-        digest.contains("WORKLOAD_KIND=incast WORKLOAD_SEED=1 WORKLOAD_SIZE=64 WORKLOAD_LOAD=1")
-    );
-    let clean = CampaignResult {
-        cells: vec![synthetic_cell(1.0, 100_000, Vec::new())],
-    };
-    assert!(clean.violation_digest().is_none());
-}
-
-#[test]
-fn env_filters_narrow_the_matrix_to_one_cell() {
-    // Set and clear in one test: the filter vars are process-global.
-    std::env::set_var("WORKLOAD_KIND", "hotspot");
-    std::env::set_var("WORKLOAD_SEED", "7");
-    std::env::set_var("WORKLOAD_SIZE", "512");
-    std::env::set_var("WORKLOAD_LOAD", "2");
-    let cfg = CampaignConfig::full().filtered_by_env();
-    std::env::remove_var("WORKLOAD_KIND");
-    std::env::remove_var("WORKLOAD_SEED");
-    std::env::remove_var("WORKLOAD_SIZE");
-    std::env::remove_var("WORKLOAD_LOAD");
-    assert_eq!(cfg.kinds, vec![WorkloadKind::Hotspot]);
-    assert_eq!(cfg.seeds, vec![7]);
-    assert_eq!(cfg.sizes, vec![512]);
-    assert_eq!(cfg.mults, vec![2.0]);
-}
-
-#[test]
 fn campaign_report_validates_against_schema_v5() {
-    let result = CampaignResult {
-        cells: vec![
-            synthetic_cell(1.0, 100_000, Vec::new()),
-            synthetic_cell(4.0, 900_000, Vec::new()),
-        ],
-    };
-    let report = result.to_report("workload-campaign test");
+    let cells = [
+        synthetic_cell(1.0, 100_000, Vec::new()),
+        synthetic_cell(4.0, 900_000, Vec::new()),
+    ];
+    let report = capacity_report(&cells, "workload-campaign test");
     let json = report.to_json();
     obs::report::validate_json(&json).expect("a campaign report is schema-v5 valid");
     assert!(json.contains("\"capacity\""));
