@@ -50,7 +50,7 @@ unsafe fn drop_boxed<F>(p: *mut u8) {
     drop(Box::from_raw(p.cast::<*mut F>().read()))
 }
 
-impl<F: FnOnce(Time) + Send + 'static> VTableFor<F> {
+impl<F: FnOnce(Time) + 'static> VTableFor<F> {
     const INLINE: VTable = VTable {
         call: call_inline::<F>,
         drop: drop_inline::<F>,
@@ -61,25 +61,25 @@ impl<F: FnOnce(Time) + Send + 'static> VTableFor<F> {
     };
 }
 
-/// An erased `FnOnce(Time) + Send` with inline small-closure storage.
+/// An erased `FnOnce(Time)` with inline small-closure storage. The
+/// closure need not be `Send`, so neither is an `EventFn`: events run on
+/// the simulation's thread.
 pub struct EventFn {
     data: [MaybeUninit<usize>; INLINE_WORDS],
     vtable: &'static VTable,
+    _not_send: PhantomData<*const ()>,
 }
-
-// Safety: construction requires `F: Send`, and the closure is only ever
-// moved or invoked through `EventFn`'s owning API.
-unsafe impl Send for EventFn {}
 
 impl EventFn {
     /// Wrap a closure, storing it inline when it fits.
-    pub fn new<F: FnOnce(Time) + Send + 'static>(f: F) -> Self {
+    pub fn new<F: FnOnce(Time) + 'static>(f: F) -> Self {
         let mut data = [MaybeUninit::<usize>::uninit(); INLINE_WORDS];
         if size_of::<F>() <= INLINE_BYTES && align_of::<F>() <= align_of::<usize>() {
             unsafe { data.as_mut_ptr().cast::<F>().write(f) };
             EventFn {
                 data,
                 vtable: &VTableFor::<F>::INLINE,
+                _not_send: PhantomData,
             }
         } else {
             unsafe {
@@ -90,6 +90,7 @@ impl EventFn {
             EventFn {
                 data,
                 vtable: &VTableFor::<F>::BOXED,
+                _not_send: PhantomData,
             }
         }
     }

@@ -33,15 +33,16 @@
 //! assert_eq!(report.end_time, us(3));
 //! ```
 //!
-//! Because only one entity runs at a time, shared state guarded by a
-//! [`parking_lot::Mutex`] is never contended; the mutex exists only to
-//! satisfy the `Send` bounds on process bodies and events. The one
-//! discipline users must follow is: **never hold a lock across a yield
-//! point** ([`ProcCtx::advance`], [`ProcCtx::wait`], …).
-//!
 //! Switching between processes never enters the kernel: a yield is one
 //! user-space stack switch (x86-64 Linux only; see `coro.rs`). A
-//! [`Simulation`] therefore stays on the thread that created it.
+//! [`Simulation`], its [`SimHandle`]s and [`Signal`]s, and every process
+//! and event therefore stay on the thread that created the simulation.
+//! Process bodies and event closures need not be `Send`: share state
+//! between them through `Rc<RefCell<_>>` (or `Rc<Cell<_>>`). Only one
+//! entity runs at a time, so such state is never contended. The one
+//! discipline users must follow is: **never hold a borrow across a
+//! yield point** ([`ProcCtx::advance`], [`ProcCtx::wait`], …) — another
+//! entity that borrows the same cell while the first is parked panics.
 //!
 //! ## Determinism, tracing, and observability
 //!

@@ -5,7 +5,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::Arc;
 
 use crate::coro::Coroutine;
 use crate::sched::{SchedShared, SimHandle, WakeWhat};
@@ -86,7 +85,7 @@ pub struct ProcCtx {
     pub(crate) id: ProcId,
     pub(crate) now: Time,
     pub(crate) shared: Rc<ProcShared>,
-    pub(crate) sched: Arc<SchedShared>,
+    pub(crate) sched: Rc<SchedShared>,
     pub(crate) procs: ProcTable,
     coro: Coroutine,
 }
@@ -112,7 +111,7 @@ impl ProcCtx {
     /// A cloneable scheduler handle, for wiring hardware models.
     pub fn handle(&self) -> SimHandle {
         SimHandle {
-            sched: Arc::clone(&self.sched),
+            sched: Rc::clone(&self.sched),
         }
     }
 
@@ -149,14 +148,10 @@ impl ProcCtx {
     /// True when the pending queue holds nothing due at or before `t`
     /// and `t` is inside the active run horizon.
     fn no_wakeups_before(&self, t: Time) -> bool {
-        if t > self
-            .sched
-            .horizon
-            .load(std::sync::atomic::Ordering::Relaxed)
-        {
+        if t > self.sched.horizon.get() {
             return false;
         }
-        match self.sched.pending.lock().peek_time() {
+        match self.sched.pending.borrow().peek_time() {
             Some(first) => first > t,
             None => true,
         }
@@ -180,7 +175,7 @@ impl ProcCtx {
     pub fn spawn(
         &mut self,
         name: impl Into<String>,
-        body: impl FnOnce(&mut ProcCtx) + Send + 'static,
+        body: impl FnOnce(&mut ProcCtx) + 'static,
     ) -> ProcId {
         spawn_process(
             &self.procs,
@@ -221,14 +216,14 @@ impl ProcCtx {
     }
 }
 
-type ProcBody = Box<dyn FnOnce(&mut ProcCtx) + Send + 'static>;
+type ProcBody = Box<dyn FnOnce(&mut ProcCtx) + 'static>;
 
 /// Create the coroutine for a new process and schedule its first
 /// resumption at `start`. Shared between `Simulation::spawn` and
 /// `ProcCtx::spawn`.
 pub(crate) fn spawn_process(
     procs: &ProcTable,
-    sched: &Arc<SchedShared>,
+    sched: &Rc<SchedShared>,
     name: String,
     start: Time,
     body: ProcBody,
@@ -240,7 +235,7 @@ pub(crate) fn spawn_process(
         name,
     });
     let ctx_shared = Rc::clone(&shared);
-    let ctx_sched = Arc::clone(sched);
+    let ctx_sched = Rc::clone(sched);
     let ctx_procs = Rc::clone(procs);
     let coro = Coroutine::new(move |coro| {
         let first = match ctx_shared.slot.replace(Slot::Parked) {

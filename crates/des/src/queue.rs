@@ -4,11 +4,10 @@
 //! becomes visible. Used by the TCP stack model and the MPI progress
 //! engine.
 
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use crate::process::ProcCtx;
 use crate::sched::SimHandle;
@@ -39,8 +38,8 @@ impl<T> Ord for Entry<T> {
 }
 
 struct Inner<T> {
-    items: Mutex<BinaryHeap<Reverse<Entry<T>>>>,
-    seq: Mutex<u64>,
+    items: RefCell<BinaryHeap<Reverse<Entry<T>>>>,
+    seq: Cell<u64>,
     signal: Signal,
     handle: SimHandle,
 }
@@ -48,24 +47,24 @@ struct Inner<T> {
 /// A cloneable, timestamped FIFO. FIFO order is by (visibility time,
 /// insertion order), deterministic like everything else in the kernel.
 pub struct SimQueue<T> {
-    inner: Arc<Inner<T>>,
+    inner: Rc<Inner<T>>,
 }
 
 impl<T> Clone for SimQueue<T> {
     fn clone(&self) -> Self {
         SimQueue {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
         }
     }
 }
 
-impl<T: Send + 'static> SimQueue<T> {
+impl<T> SimQueue<T> {
     /// Create a queue bound to the simulation behind `handle`.
     pub fn new(handle: &SimHandle) -> Self {
         SimQueue {
-            inner: Arc::new(Inner {
-                items: Mutex::new(BinaryHeap::new()),
-                seq: Mutex::new(0),
+            inner: Rc::new(Inner {
+                items: RefCell::new(BinaryHeap::new()),
+                seq: Cell::new(0),
                 signal: handle.new_signal(),
                 handle: handle.clone(),
             }),
@@ -74,16 +73,13 @@ impl<T: Send + 'static> SimQueue<T> {
 
     /// Enqueue `item`, becoming visible to poppers at time `t`.
     pub fn push_at(&self, t: Time, item: T) {
-        {
-            let mut seq = self.inner.seq.lock();
-            let s = *seq;
-            *seq += 1;
-            self.inner.items.lock().push(Reverse(Entry {
-                visible_at: t,
-                seq: s,
-                item,
-            }));
-        }
+        let seq = self.inner.seq.get();
+        self.inner.seq.set(seq + 1);
+        self.inner.items.borrow_mut().push(Reverse(Entry {
+            visible_at: t,
+            seq,
+            item,
+        }));
         // Wake any popper once the item becomes visible.
         let signal = self.inner.signal.clone();
         self.inner
@@ -96,7 +92,7 @@ impl<T: Send + 'static> SimQueue<T> {
     pub fn pop(&self, ctx: &mut ProcCtx) -> T {
         loop {
             let head_time = {
-                let mut items = self.inner.items.lock();
+                let mut items = self.inner.items.borrow_mut();
                 match items.peek() {
                     Some(Reverse(e)) if e.visible_at <= ctx.now() => {
                         let Reverse(e) = items.pop().expect("peeked entry vanished");
@@ -115,7 +111,7 @@ impl<T: Send + 'static> SimQueue<T> {
 
     /// Pop the earliest item already visible at `now`, if any.
     pub fn try_pop(&self, now: Time) -> Option<T> {
-        let mut items = self.inner.items.lock();
+        let mut items = self.inner.items.borrow_mut();
         match items.peek() {
             Some(Reverse(e)) if e.visible_at <= now => items.pop().map(|Reverse(e)| e.item),
             _ => None,
@@ -126,7 +122,7 @@ impl<T: Send + 'static> SimQueue<T> {
     pub fn visible_len(&self, now: Time) -> usize {
         self.inner
             .items
-            .lock()
+            .borrow()
             .iter()
             .filter(|Reverse(e)| e.visible_at <= now)
             .count()
@@ -134,7 +130,7 @@ impl<T: Send + 'static> SimQueue<T> {
 
     /// Total queued items, visible or not.
     pub fn len(&self) -> usize {
-        self.inner.items.lock().len()
+        self.inner.items.borrow().len()
     }
 
     /// True when nothing is queued at all.
@@ -257,6 +253,7 @@ mod tests {
     #[test]
     fn two_poppers_each_get_one_item() {
         use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::Arc;
         let mut sim = Simulation::new();
         let q: SimQueue<u32> = SimQueue::new(&sim.handle());
         let sum = Arc::new(AtomicU32::new(0));

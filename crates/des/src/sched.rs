@@ -1,17 +1,18 @@
 //! The scheduler's pending queue and the cloneable [`SimHandle`] through
 //! which processes, events, and hardware models insert future work.
 //!
-//! Hot-path design: one lock acquisition per push and per pop (the
-//! banded [`PendingQueue`] behind a single mutex), an atomic tie-break
-//! counter, an atomic run horizon, and inline closure storage
-//! ([`EventFn`]) so a steady-state schedule/dispatch cycle never touches
-//! the heap allocator — and, past a few thousand pending events, never
-//! pays a per-pop cache-miss chain through a deep heap either.
+//! Everything here lives on the thread that runs the simulation: the
+//! state is shared through an `Rc` and plain cells, and neither
+//! [`SimHandle`] nor the closures it schedules need be `Send`. Hot-path
+//! design: one `RefCell` borrow per push and per pop (the banded
+//! [`PendingQueue`]), and inline closure storage ([`EventFn`]) so a
+//! steady-state schedule/dispatch cycle never touches the heap allocator
+//! — and, past a few thousand pending events, never pays a per-pop
+//! cache-miss chain through a deep heap either.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::calq::CalendarQueue;
 pub(crate) use crate::event::EventFn;
@@ -34,37 +35,35 @@ pub(crate) enum WakeWhat {
 pub(crate) type PendingQueue = CalendarQueue<WakeWhat>;
 
 /// Scheduler state shared between the run loop, all processes, and every
-/// [`SimHandle`] clone. Only one entity executes at a time, so the mutex
-/// is never contended; it exists to satisfy `Send`/`Sync`.
+/// [`SimHandle`] clone, all on one thread. Only one entity executes at a
+/// time, and no borrow of `pending` outlives the push or pop it serves.
 pub(crate) struct SchedShared {
-    pub pending: Mutex<PendingQueue>,
-    /// Tie-break counter. Atomic so a push costs exactly one lock (the
-    /// queue's); single-entity execution makes the fetch-add ordering
-    /// identical to the old mutex-guarded counter.
-    pub seq: AtomicU64,
+    pub pending: RefCell<PendingQueue>,
+    /// FIFO tie-break counter for same-time entries.
+    pub seq: Cell<u64>,
     /// The cross-layer observability log. Scheduler trace entries, layer
     /// spans, and counters all land here; disabled (the default) it costs
     /// one relaxed atomic load per instrumentation site.
     pub recorder: Arc<obs::Recorder>,
     /// Active run horizon: the advance fast path must not carry a
-    /// process's clock past it (see `ProcCtx::advance`). Atomic: read on
-    /// every fast-path advance, written once per `run_until`.
-    pub horizon: AtomicU64,
+    /// process's clock past it (see `ProcCtx::advance`). Read on every
+    /// fast-path advance, written once per `run_until`.
+    pub horizon: Cell<Time>,
 }
 
 impl SchedShared {
-    pub fn new() -> Arc<Self> {
-        Arc::new(SchedShared {
-            pending: Mutex::new(PendingQueue::new()),
-            seq: AtomicU64::new(0),
+    pub fn new() -> Rc<Self> {
+        Rc::new(SchedShared {
+            pending: RefCell::new(PendingQueue::new()),
+            seq: Cell::new(0),
             recorder: Arc::new(obs::Recorder::new()),
-            horizon: AtomicU64::new(Time::MAX),
+            horizon: Cell::new(Time::MAX),
         })
     }
 
     pub fn push(&self, time: Time, what: WakeWhat) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.pending.lock().push(time, seq, what);
+        let seq = self.reserve_seqs(1);
+        self.pending.borrow_mut().push(time, seq, what);
     }
 
     /// Reserve `n` consecutive tie-break values; returns the first.
@@ -72,12 +71,14 @@ impl SchedShared {
     /// values interleave with other same-time entries exactly as if they
     /// had all been pushed at reservation time.
     pub fn reserve_seqs(&self, n: u64) -> u64 {
-        self.seq.fetch_add(n, Ordering::Relaxed)
+        let first = self.seq.get();
+        self.seq.set(first + n);
+        first
     }
 
     /// Push an entry with an explicitly reserved tie-break value.
     pub fn push_at_seq(&self, time: Time, seq: u64, what: WakeWhat) {
-        self.pending.lock().push(time, seq, what);
+        self.pending.borrow_mut().push(time, seq, what);
     }
 
     pub fn record(&self, entry: TraceEntry) {
@@ -87,16 +88,23 @@ impl SchedShared {
 
 /// A cloneable handle into the scheduler. Hardware models hold one to
 /// schedule propagation events; processes obtain one via
-/// [`crate::ProcCtx::handle`].
+/// [`crate::ProcCtx::handle`]. Like the simulation it belongs to, it
+/// stays on the thread that runs the simulation:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<des::SimHandle>();
+/// ```
 #[derive(Clone)]
 pub struct SimHandle {
-    pub(crate) sched: Arc<SchedShared>,
+    pub(crate) sched: Rc<SchedShared>,
 }
 
 impl SimHandle {
     /// Schedule `f` to run at absolute virtual time `t`. Scheduling into
-    /// the past is a logic error and panics: hardware cannot retroact.
-    pub fn schedule_at(&self, t: Time, f: impl FnOnce(Time) + Send + 'static) {
+    /// the past is a logic error and panics when the event is reached:
+    /// hardware cannot retroact.
+    pub fn schedule_at(&self, t: Time, f: impl FnOnce(Time) + 'static) {
         self.sched.push(t, WakeWhat::Event(EventFn::new(f)));
     }
 
@@ -115,14 +123,14 @@ impl SimHandle {
     /// same virtual time, lower slots fire first. Reusing a slot, or
     /// scheduling a slot after the queue has advanced past its time,
     /// breaks the determinism contract (but not memory safety).
-    pub fn schedule_at_ordered(&self, t: Time, order: u64, f: impl FnOnce(Time) + Send + 'static) {
+    pub fn schedule_at_ordered(&self, t: Time, order: u64, f: impl FnOnce(Time) + 'static) {
         self.sched
             .push_at_seq(t, order, WakeWhat::Event(EventFn::new(f)));
     }
 
     /// Create a fresh [`Signal`] bound to this simulation.
     pub fn new_signal(&self) -> Signal {
-        Signal::new(Arc::clone(&self.sched))
+        Signal::new(Rc::clone(&self.sched))
     }
 
     /// Append a custom entry to the deterministic trace (no-op when tracing
@@ -162,7 +170,7 @@ mod tests {
         let s = SchedShared::new();
         s.push(10, WakeWhat::Resume(ProcId(0)));
         s.push(10, WakeWhat::Resume(ProcId(1)));
-        let mut q = s.pending.lock();
+        let mut q = s.pending.borrow_mut();
         assert_eq!(q.peek_time(), Some(10));
         match (q.pop().unwrap(), q.pop().unwrap()) {
             ((10, WakeWhat::Resume(a)), (10, WakeWhat::Resume(b))) => {
@@ -178,10 +186,10 @@ mod tests {
         let s = SchedShared::new();
         for round in 0..50u64 {
             s.push(round, WakeWhat::Resume(ProcId(round as usize)));
-            let popped = s.pending.lock().pop().unwrap();
+            let popped = s.pending.borrow_mut().pop().unwrap();
             assert_eq!(popped.0, round);
         }
-        let q = s.pending.lock();
+        let q = s.pending.borrow_mut();
         assert_eq!(q.len(), 0);
         assert_eq!(q.slab_slots(), 1, "one recycled slot suffices");
     }
@@ -196,7 +204,7 @@ mod tests {
         s.push_at_seq(10, base + 2, WakeWhat::Resume(ProcId(2)));
         s.push_at_seq(10, base, WakeWhat::Resume(ProcId(0)));
         s.push_at_seq(10, base + 1, WakeWhat::Resume(ProcId(1)));
-        let mut q = s.pending.lock();
+        let mut q = s.pending.borrow_mut();
         let order: Vec<ProcId> = std::iter::from_fn(|| q.pop())
             .map(|(_, what)| match what {
                 WakeWhat::Resume(id) => id,

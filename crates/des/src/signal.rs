@@ -1,9 +1,8 @@
 //! Signals: the blocking/wake-up primitive connecting hardware events
 //! (packet arrival, NIC interrupt) to waiting processes.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::process::ProcId;
 use crate::sched::{SchedShared, WakeWhat};
@@ -20,28 +19,35 @@ use crate::time::Time;
 /// Because only one entity executes at a time, the check-then-wait sequence
 /// inside a process is atomic with respect to notifications: a lost wake-up
 /// is impossible as long as the condition is re-checked after registering.
+///
+/// A signal belongs to its simulation's thread:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<des::Signal>();
+/// ```
 #[derive(Clone)]
 pub struct Signal {
-    inner: Arc<SignalInner>,
+    inner: Rc<SignalInner>,
 }
 
 struct SignalInner {
-    sched: Arc<SchedShared>,
-    waiters: Mutex<Vec<ProcId>>,
+    sched: Rc<SchedShared>,
+    waiters: RefCell<Vec<ProcId>>,
 }
 
 impl Signal {
-    pub(crate) fn new(sched: Arc<SchedShared>) -> Self {
+    pub(crate) fn new(sched: Rc<SchedShared>) -> Self {
         Signal {
-            inner: Arc::new(SignalInner {
+            inner: Rc::new(SignalInner {
                 sched,
-                waiters: Mutex::new(Vec::new()),
+                waiters: RefCell::new(Vec::new()),
             }),
         }
     }
 
     pub(crate) fn register(&self, id: ProcId) {
-        self.inner.waiters.lock().push(id);
+        self.inner.waiters.borrow_mut().push(id);
     }
 
     /// Wake every process currently waiting, scheduling each to resume at
@@ -50,10 +56,9 @@ impl Signal {
     pub fn notify_at(&self, t: Time) {
         // Drain in place (not `mem::take`) so the waiter Vec keeps its
         // capacity: a signal notified in the steady state never
-        // reallocates. Holding the lock across the pushes is safe —
-        // `register` is only called from process context, and only one
-        // entity executes at a time.
-        let mut waiters = self.inner.waiters.lock();
+        // reallocates. Holding the borrow across the pushes is safe — a
+        // push only enqueues, and `register` runs in process context.
+        let mut waiters = self.inner.waiters.borrow_mut();
         for id in waiters.drain(..) {
             self.inner.sched.push(t, WakeWhat::Resume(id));
         }
@@ -62,6 +67,6 @@ impl Signal {
     /// Number of processes currently parked on this signal. Useful in
     /// tests and in the deadlock reporter.
     pub fn waiter_count(&self) -> usize {
-        self.inner.waiters.lock().len()
+        self.inner.waiters.borrow().len()
     }
 }

@@ -2,7 +2,6 @@
 
 use std::marker::PhantomData;
 use std::rc::Rc;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::process::{spawn_process, ProcCtx, ProcId, ProcTable, Slot, YieldReason};
@@ -45,7 +44,7 @@ impl RunReport {
 /// assert_send::<des::Simulation>();
 /// ```
 pub struct Simulation {
-    sched: Arc<SchedShared>,
+    sched: Rc<SchedShared>,
     procs: ProcTable,
     _not_send: PhantomData<*const ()>,
 }
@@ -89,7 +88,7 @@ impl Simulation {
     /// run starts.
     pub fn handle(&self) -> SimHandle {
         SimHandle {
-            sched: Arc::clone(&self.sched),
+            sched: Rc::clone(&self.sched),
         }
     }
 
@@ -97,7 +96,7 @@ impl Simulation {
     pub fn spawn(
         &mut self,
         name: impl Into<String>,
-        body: impl FnOnce(&mut ProcCtx) + Send + 'static,
+        body: impl FnOnce(&mut ProcCtx) + 'static,
     ) -> ProcId {
         spawn_process(&self.procs, &self.sched, name.into(), 0, Box::new(body))
     }
@@ -107,7 +106,7 @@ impl Simulation {
         &mut self,
         start: Time,
         name: impl Into<String>,
-        body: impl FnOnce(&mut ProcCtx) + Send + 'static,
+        body: impl FnOnce(&mut ProcCtx) + 'static,
     ) -> ProcId {
         spawn_process(&self.procs, &self.sched, name.into(), start, Box::new(body))
     }
@@ -122,19 +121,23 @@ impl Simulation {
     /// Run until the queue drains or the next entity would fire after
     /// `horizon`. Entities beyond the horizon stay queued.
     pub fn run_until(&mut self, horizon: Time) -> RunReport {
-        self.sched.horizon.store(horizon, Ordering::Relaxed);
+        self.sched.horizon.set(horizon);
         let mut now: Time = 0;
         let mut dispatches: u64 = 0;
         let mut peak_queue_depth: usize = 0;
         loop {
             let item = {
-                let mut q = self.sched.pending.lock();
+                let mut q = self.sched.pending.borrow_mut();
                 peak_queue_depth = peak_queue_depth.max(q.len());
                 q.pop_due(horizon)
             };
             let Some((time, what)) = item else { break };
-            debug_assert!(time >= now, "scheduler time went backwards");
-            now = now.max(time);
+            assert!(
+                time >= now,
+                "an entry was scheduled into the past: it is due at {time} ns, \
+                 but the clock is already at {now} ns"
+            );
+            now = time;
             dispatches += 1;
             match what {
                 WakeWhat::Event(f) => {
@@ -534,6 +537,33 @@ mod tests {
         let report = sim.run();
         assert_eq!(*hits.lock(), 1);
         assert_eq!(report.end_time, 15);
+    }
+
+    #[test]
+    #[should_panic(expected = "into the past")]
+    fn scheduling_into_the_past_panics() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let h2 = h.clone();
+        h.schedule_at(10, move |_| h2.schedule_at(5, |_| {}));
+        sim.run();
+    }
+
+    #[test]
+    fn process_and_event_share_state_through_rc_refcell() {
+        use std::cell::RefCell;
+        let log: Rc<RefCell<Vec<Time>>> = Rc::default();
+        let mut sim = Simulation::new();
+        let from_event = Rc::clone(&log);
+        sim.handle()
+            .schedule_at(us(2), move |t| from_event.borrow_mut().push(t));
+        let from_process = Rc::clone(&log);
+        sim.spawn("p", move |ctx| {
+            ctx.advance(us(3));
+            from_process.borrow_mut().push(ctx.now());
+        });
+        assert!(sim.run().is_clean());
+        assert_eq!(*log.borrow(), [us(2), us(3)]);
     }
 
     #[test]

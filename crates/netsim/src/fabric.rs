@@ -1,10 +1,10 @@
 //! The star fabric: per-link occupancy and segment-by-segment delivery
 //! times through one switch.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use des::{SimHandle, Time};
-use parking_lot::Mutex;
 
 use crate::spec::NetSpec;
 
@@ -22,10 +22,10 @@ pub struct FabricStats {
 struct FabricShared {
     spec: NetSpec,
     /// Busy horizon of each host's uplink (host → switch).
-    uplinks: Mutex<Vec<Time>>,
+    uplinks: RefCell<Vec<Time>>,
     /// Busy horizon of each host's downlink (switch → host).
-    downlinks: Mutex<Vec<Time>>,
-    stats: Mutex<FabricStats>,
+    downlinks: RefCell<Vec<Time>>,
+    stats: RefCell<FabricStats>,
 }
 
 /// A switched star network connecting `spec.hosts` hosts. Purely a timing
@@ -33,7 +33,7 @@ struct FabricShared {
 /// (`TcpNet` / `MyrinetApiNet`).
 #[derive(Clone)]
 pub struct Fabric {
-    shared: Arc<FabricShared>,
+    shared: Rc<FabricShared>,
 }
 
 impl Fabric {
@@ -43,11 +43,11 @@ impl Fabric {
     pub fn new(_handle: &SimHandle, spec: NetSpec) -> Self {
         let hosts = spec.hosts;
         Fabric {
-            shared: Arc::new(FabricShared {
+            shared: Rc::new(FabricShared {
                 spec,
-                uplinks: Mutex::new(vec![0; hosts]),
-                downlinks: Mutex::new(vec![0; hosts]),
-                stats: Mutex::new(FabricStats::default()),
+                uplinks: RefCell::new(vec![0; hosts]),
+                downlinks: RefCell::new(vec![0; hosts]),
+                stats: RefCell::new(FabricStats::default()),
             }),
         }
     }
@@ -59,7 +59,7 @@ impl Fabric {
 
     /// Counters so far.
     pub fn stats(&self) -> FabricStats {
-        self.shared.stats.lock().clone()
+        self.shared.stats.borrow().clone()
     }
 
     /// Carry `len` payload bytes from `src` to `dst`, with the first
@@ -99,9 +99,9 @@ impl Fabric {
     ) -> (Time, Time) {
         assert_ne!(src, dst, "loopback transmissions never touch the fabric");
         let spec = &self.shared.spec;
-        let mut up = self.shared.uplinks.lock();
-        let mut down = self.shared.downlinks.lock();
-        let mut stats = self.shared.stats.lock();
+        let mut up = self.shared.uplinks.borrow_mut();
+        let mut down = self.shared.downlinks.borrow_mut();
+        let mut stats = self.shared.stats.borrow_mut();
         let ser = spec.serialize_ns(payload);
         stats.segments += 1;
         stats.payload_bytes += payload as u64;

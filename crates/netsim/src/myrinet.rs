@@ -1,7 +1,7 @@
 //! The native (user-level) Myrinet API model: OS-bypass messaging with
 //! host-PIO copies into NIC SRAM — the "Myrinet API" line of Figure 2.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use des::queue::SimQueue;
 use des::{ProcCtx, SimHandle, Time};
@@ -46,7 +46,7 @@ struct NetShared {
 /// A Myrinet with user-level ports, one per host.
 #[derive(Clone)]
 pub struct MyrinetApiNet {
-    shared: Arc<NetShared>,
+    shared: Rc<NetShared>,
 }
 
 impl MyrinetApiNet {
@@ -59,7 +59,7 @@ impl MyrinetApiNet {
     pub fn with_costs(handle: &SimHandle, hosts: usize, costs: MyrinetApiCosts) -> Self {
         let spec = NetSpec::myrinet(hosts);
         MyrinetApiNet {
-            shared: Arc::new(NetShared {
+            shared: Rc::new(NetShared {
                 fabric: Fabric::new(handle, spec),
                 costs,
                 inboxes: (0..hosts).map(|_| SimQueue::new(handle)).collect(),
@@ -70,7 +70,7 @@ impl MyrinetApiNet {
     /// The port for `host`.
     pub fn port(&self, host: usize) -> MyrinetApiPort {
         MyrinetApiPort {
-            shared: Arc::clone(&self.shared),
+            shared: Rc::clone(&self.shared),
             host,
         }
     }
@@ -83,7 +83,7 @@ impl MyrinetApiNet {
 
 /// One host's user-level Myrinet port.
 pub struct MyrinetApiPort {
-    shared: Arc<NetShared>,
+    shared: Rc<NetShared>,
     host: usize,
 }
 
@@ -141,6 +141,7 @@ mod tests {
     use super::*;
     use des::{Simulation, TimeExt};
     use parking_lot::Mutex;
+    use std::sync::Arc;
 
     fn one_way_us(len: usize) -> f64 {
         let mut sim = Simulation::new();

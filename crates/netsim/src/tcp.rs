@@ -1,11 +1,11 @@
 //! A TCP/IP-like host stack over the fabric: syscall, copy, segmentation
 //! and interrupt costs calibrated to Linux 2.0-era measurements.
 
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use des::queue::SimQueue;
 use des::{ProcCtx, SimHandle, Time};
-use parking_lot::Mutex;
 
 use crate::fabric::Fabric;
 use crate::spec::NetSpec;
@@ -84,7 +84,7 @@ struct Peer {
     inbox: SimQueue<Delivery>,
     /// Windowed mode: bytes in flight toward this peer, and the wake-up
     /// senders park on while the window is full.
-    inflight: Mutex<usize>,
+    inflight: Cell<usize>,
     window_free: des::Signal,
 }
 
@@ -92,7 +92,7 @@ struct TcpNetShared {
     fabric: Fabric,
     costs: TcpCosts,
     /// inboxes[dst][src]: per-ordered-pair delivery queues.
-    inboxes: Mutex<Vec<Vec<Option<Arc<Peer>>>>>,
+    inboxes: RefCell<Vec<Vec<Option<Rc<Peer>>>>>,
     handle: SimHandle,
 }
 
@@ -100,7 +100,7 @@ struct TcpNetShared {
 /// pairs with [`TcpNet::socket_pair`].
 #[derive(Clone)]
 pub struct TcpNet {
-    shared: Arc<TcpNetShared>,
+    shared: Rc<TcpNetShared>,
 }
 
 impl TcpNet {
@@ -109,10 +109,10 @@ impl TcpNet {
         let hosts = spec.hosts;
         let fabric = Fabric::new(handle, spec);
         TcpNet {
-            shared: Arc::new(TcpNetShared {
+            shared: Rc::new(TcpNetShared {
                 fabric,
                 costs,
-                inboxes: Mutex::new(vec![(0..hosts).map(|_| None).collect(); hosts]),
+                inboxes: RefCell::new(vec![(0..hosts).map(|_| None).collect(); hosts]),
                 handle: handle.clone(),
             }),
         }
@@ -139,23 +139,23 @@ impl TcpNet {
     }
 
     fn socket(&self, me: usize, peer: usize) -> TcpSock {
-        let mut inboxes = self.shared.inboxes.lock();
+        let mut inboxes = self.shared.inboxes.borrow_mut();
         // The socket at `me` talking to `peer` drains inboxes[me][peer].
         for (a, b) in [(me, peer), (peer, me)] {
             if inboxes[a][b].is_none() {
-                inboxes[a][b] = Some(Arc::new(Peer {
+                inboxes[a][b] = Some(Rc::new(Peer {
                     inbox: SimQueue::new(&self.shared.handle),
-                    inflight: Mutex::new(0),
+                    inflight: Cell::new(0),
                     window_free: self.shared.handle.new_signal(),
                 }));
             }
         }
         TcpSock {
-            net: Arc::clone(&self.shared),
+            net: Rc::clone(&self.shared),
             node: me,
             peer,
-            rx: Arc::clone(inboxes[me][peer].as_ref().unwrap()),
-            tx: Arc::clone(inboxes[peer][me].as_ref().unwrap()),
+            rx: Rc::clone(inboxes[me][peer].as_ref().unwrap()),
+            tx: Rc::clone(inboxes[peer][me].as_ref().unwrap()),
         }
     }
 }
@@ -163,11 +163,11 @@ impl TcpNet {
 /// One end of a connection. Message-framed: each [`TcpSock::send`]
 /// matches one [`TcpSock::recv`] on the peer, in order.
 pub struct TcpSock {
-    net: Arc<TcpNetShared>,
+    net: Rc<TcpNetShared>,
     node: usize,
     peer: usize,
-    rx: Arc<Peer>,
-    tx: Arc<Peer>,
+    rx: Rc<Peer>,
+    tx: Rc<Peer>,
 }
 
 impl TcpSock {
@@ -214,12 +214,11 @@ impl TcpSock {
                     assert!(wire <= window, "window smaller than one segment");
                     // Park until the window admits this segment.
                     loop {
-                        let mut infl = self.tx.inflight.lock();
-                        if *infl + wire <= window {
-                            *infl += wire;
+                        let infl = self.tx.inflight.get();
+                        if infl + wire <= window {
+                            self.tx.inflight.set(infl + wire);
                             break;
                         }
-                        drop(infl);
                         ctx.wait(&self.tx.window_free.clone());
                     }
                     let (arrival, _) =
@@ -233,9 +232,9 @@ impl TcpSock {
                         .net
                         .fabric
                         .transmit_segment(self.peer, self.node, 0, arrival);
-                    let peer_state = Arc::clone(&self.tx);
+                    let peer_state = Rc::clone(&self.tx);
                     self.net.handle.schedule_at(ack_at, move |t| {
-                        *peer_state.inflight.lock() -= wire;
+                        peer_state.inflight.set(peer_state.inflight.get() - wire);
                         peer_state.window_free.notify_at(t);
                     });
                 }
@@ -279,6 +278,8 @@ impl TcpSock {
 mod tests {
     use super::*;
     use des::{Simulation, TimeExt};
+    use parking_lot::Mutex;
+    use std::sync::Arc;
 
     fn one_way_us(spec: NetSpec, costs: TcpCosts, len: usize) -> f64 {
         let mut sim = Simulation::new();

@@ -2,13 +2,13 @@
 //! local bank, write injection into the ring, and interrupt subscriptions.
 
 use std::ops::Range;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use des::obs::Layer;
 use des::{ProcCtx, Signal};
 
 use crate::ring::RingShared;
-use crate::stats::Bump;
 use crate::{Word, WordAddr};
 
 /// A host's port onto the ring. Clone freely; all clones refer to the same
@@ -17,12 +17,12 @@ use crate::{Word, WordAddr};
 /// path, but every access still crosses the I/O bus.
 #[derive(Clone)]
 pub struct Nic {
-    shared: Arc<RingShared>,
+    shared: Rc<RingShared>,
     node: usize,
 }
 
 impl Nic {
-    pub(crate) fn new(shared: Arc<RingShared>, node: usize) -> Self {
+    pub(crate) fn new(shared: Rc<RingShared>, node: usize) -> Self {
         Nic { shared, node }
     }
 
@@ -44,7 +44,7 @@ impl Nic {
 
     /// Words in each bank.
     pub fn bank_words(&self) -> usize {
-        self.shared.banks[self.node].lock().len()
+        self.shared.banks[self.node].borrow().len()
     }
 
     /// The hardware cost model in force (synchronization primitives use
@@ -64,7 +64,7 @@ impl Nic {
         ctx.obs()
             .span_enter(ctx.now(), self.gid(), Layer::Nic, "pio_write");
         ctx.advance(self.shared.cost.pio_write_ns);
-        self.shared.stats.pio_writes.add(1);
+        self.shared.stats.borrow_mut().pio_writes += 1;
         ctx.obs().count(ctx.now(), self.gid(), "nic.pio_words", 1);
         self.shared
             .inject(self.node, ctx.now(), addr, Arc::new(vec![value]));
@@ -82,10 +82,13 @@ impl Nic {
             .span_enter(ctx.now(), self.gid(), Layer::Nic, "pio_block");
         let cost = &self.shared.cost;
         ctx.advance(cost.host_write_ns(data.len()));
-        if data.len() >= cost.burst_threshold_words {
-            self.shared.stats.bursts.add(1);
-        } else {
-            self.shared.stats.pio_writes.add(data.len() as u64);
+        {
+            let mut stats = self.shared.stats.borrow_mut();
+            if data.len() >= cost.burst_threshold_words {
+                stats.bursts += 1;
+            } else {
+                stats.pio_writes += data.len() as u64;
+            }
         }
         ctx.obs()
             .count(ctx.now(), self.gid(), "nic.pio_words", data.len() as u64);
@@ -101,9 +104,9 @@ impl Nic {
         ctx.obs()
             .span_enter(ctx.now(), self.gid(), Layer::Nic, "pio_read");
         ctx.advance(self.shared.cost.pio_read_ns);
-        self.shared.stats.pio_reads.add(1);
+        self.shared.stats.borrow_mut().pio_reads += 1;
         ctx.obs().count(ctx.now(), self.gid(), "nic.pio_reads", 1);
-        let w = self.shared.banks[self.node].lock().read(addr);
+        let w = self.shared.banks[self.node].borrow().read(addr);
         ctx.obs()
             .span_exit(ctx.now(), self.gid(), Layer::Nic, "pio_read");
         w
@@ -118,14 +121,17 @@ impl Nic {
             .span_enter(ctx.now(), self.gid(), Layer::Nic, "pio_read");
         let cost = &self.shared.cost;
         ctx.advance(cost.host_read_ns(len));
-        if len >= cost.burst_threshold_words {
-            self.shared.stats.bursts.add(1);
-        } else {
-            self.shared.stats.pio_reads.add(len as u64);
+        {
+            let mut stats = self.shared.stats.borrow_mut();
+            if len >= cost.burst_threshold_words {
+                stats.bursts += 1;
+            } else {
+                stats.pio_reads += len as u64;
+            }
         }
         ctx.obs()
             .count(ctx.now(), self.gid(), "nic.pio_reads", len as u64);
-        let block = self.shared.banks[self.node].lock().read_block(addr, len);
+        let block = self.shared.banks[self.node].borrow().read_block(addr, len);
         ctx.obs()
             .span_exit(ctx.now(), self.gid(), Layer::Nic, "pio_read");
         block
@@ -160,13 +166,13 @@ impl Nic {
             }
             return;
         }
-        self.shared.stats.bursts.add(1);
+        self.shared.stats.borrow_mut().bursts += 1;
         ctx.obs()
             .count(ctx.now(), self.gid(), "nic.dma_words", data.len() as u64);
         let staged_at = ctx.now() + data.len() as u64 * cost.dma_word_ns;
-        let shared = std::sync::Arc::clone(&self.shared);
+        let shared = Rc::clone(&self.shared);
         let node = self.node;
-        let data = std::sync::Arc::new(data.to_vec());
+        let data = Arc::new(data.to_vec());
         self.shared.handle.schedule_at(staged_at, move |t| {
             shared.inject(node, t, addr, data);
             if let Some(sig) = done {

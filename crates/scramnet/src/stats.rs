@@ -1,7 +1,5 @@
 //! Aggregate counters the experiment harnesses read after a run.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use des::Time;
 
 /// Traffic statistics for one [`crate::Ring`].
@@ -47,74 +45,9 @@ impl RingStats {
     }
 }
 
-/// Lock-free accumulation cells behind [`RingStats`]. The hot paths
-/// (`inject_as`, `apply_at`, PIO operations) bump these with relaxed
-/// atomics; [`AtomicRingStats::snapshot`] materializes the plain struct
-/// for readers. Only one simulation entity runs at a time, so relaxed
-/// ordering loses nothing.
-#[derive(Debug, Default)]
-pub(crate) struct AtomicRingStats {
-    pub injections: AtomicU64,
-    pub words_carried: AtomicU64,
-    pub pio_writes: AtomicU64,
-    pub pio_reads: AtomicU64,
-    pub bursts: AtomicU64,
-    pub interrupts: AtomicU64,
-    pub bit_errors: AtomicU64,
-    pub packets_dropped: AtomicU64,
-    pub silenced_drops: AtomicU64,
-    pub link_truncations: AtomicU64,
-    pub link_busy_ns: AtomicU64,
-}
-
-impl AtomicRingStats {
-    /// Materialize the counters for callers of `Ring::stats`.
-    pub fn snapshot(&self) -> RingStats {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        RingStats {
-            injections: get(&self.injections),
-            words_carried: get(&self.words_carried),
-            pio_writes: get(&self.pio_writes),
-            pio_reads: get(&self.pio_reads),
-            bursts: get(&self.bursts),
-            interrupts: get(&self.interrupts),
-            bit_errors: get(&self.bit_errors),
-            packets_dropped: get(&self.packets_dropped),
-            silenced_drops: get(&self.silenced_drops),
-            link_truncations: get(&self.link_truncations),
-            link_busy_ns: get(&self.link_busy_ns),
-        }
-    }
-}
-
-/// `counter.add(n)` shorthand used by the hot paths.
-pub(crate) trait Bump {
-    fn add(&self, n: u64);
-}
-
-impl Bump for AtomicU64 {
-    #[inline]
-    fn add(&self, n: u64) {
-        self.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn atomic_cells_snapshot_to_plain_struct() {
-        let a = AtomicRingStats::default();
-        a.injections.add(3);
-        a.words_carried.add(40);
-        a.link_busy_ns.add(615);
-        let s = a.snapshot();
-        assert_eq!(s.injections, 3);
-        assert_eq!(s.words_carried, 40);
-        assert_eq!(s.link_busy_ns, 615);
-        assert_eq!(s.pio_writes, 0);
-    }
 
     #[test]
     fn utilization_handles_zero_elapsed() {

@@ -187,7 +187,7 @@ pub(crate) fn decode_null(frame: &[u8]) -> Option<(u16, u8)> {
 
 /// The device under the Channel Interface. One instance per rank, owned
 /// by that rank's process.
-pub trait Device: Send {
+pub trait Device {
     /// This device's world rank.
     fn rank(&self) -> usize;
     /// World size.

@@ -20,7 +20,7 @@ fn dying_world(sim: &Simulation) -> MpiWorld {
 }
 
 /// The victim's process: heartbeat until the kill instant, then vanish.
-fn victim(mut mpi: smpi::Mpi) -> impl FnOnce(&mut des::ProcCtx) + Send + 'static {
+fn victim(mut mpi: smpi::Mpi) -> impl FnOnce(&mut des::ProcCtx) + 'static {
     move |ctx: &mut des::ProcCtx| {
         while ctx.now() < KILL_AT {
             mpi.progress(ctx);
