@@ -160,14 +160,8 @@ fn load_baseline(path: &str) -> Result<Vec<Wallclock>, String> {
             if scenario.ends_with("@baseline") {
                 continue;
             }
-            // Pre-v4 baselines carry no thread count: everything they
-            // measured ran the sequential engine. The per-shard
-            // breakdown is a point-in-time diagnostic, not a gated
-            // quantity, so baseline echoes drop it either way.
-            let threads = w
-                .get("threads")
-                .and_then(obs::json::Json::as_f64)
-                .map_or(1, |t| t as u64);
+            // The per-shard breakdown is a point-in-time diagnostic,
+            // not a gated quantity, so baseline echoes drop it.
             out.push(Wallclock {
                 scenario,
                 events: num("events") as u64,
@@ -176,7 +170,7 @@ fn load_baseline(path: &str) -> Result<Vec<Wallclock>, String> {
                 events_per_sec: num("events_per_sec"),
                 sim_ns_per_sec: num("sim_ns_per_sec"),
                 peak_queue_depth: num("peak_queue_depth") as u64,
-                threads,
+                threads: num("threads") as u64,
                 shards: Vec::new(),
             });
         }

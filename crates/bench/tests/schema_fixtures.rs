@@ -1,10 +1,8 @@
-//! Committed report fixtures, one per accepted schema version. These
-//! are real generator outputs (`rpc-load --quick` downgraded for v2–v4,
-//! `workload-campaign --quick` for v5, `bench-report --quick --threads 2`
-//! for v6), so `bench-report --check` / `validate_json` keep accepting
-//! every historical baseline a CI artifact store may still hold. If a
-//! schema bump breaks one of these, that is a compatibility regression,
-//! not a fixture to regenerate.
+//! The committed report fixture for the current schema: a real
+//! generator output (`bench-report --quick --threads 2`), so
+//! `bench-report --check` / `validate_json` keep accepting what the
+//! generators write. If a change to the validator breaks it, that is a
+//! compatibility regression, not a fixture to regenerate.
 
 use obs::report::{validate_json, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
 
@@ -19,7 +17,7 @@ fn fixture(version: u32) -> String {
 #[test]
 fn every_supported_schema_version_has_a_validating_fixture() {
     assert_eq!(
-        MIN_SCHEMA_VERSION, 2,
+        MIN_SCHEMA_VERSION, 6,
         "update the fixture set on a floor bump"
     );
     assert_eq!(SCHEMA_VERSION, 6, "add a fixture when the schema grows");
@@ -35,15 +33,6 @@ fn every_supported_schema_version_has_a_validating_fixture() {
 }
 
 #[test]
-fn the_v5_fixture_exercises_the_capacity_section() {
-    let doc = fixture(5);
-    assert!(doc.contains("\"capacity\""));
-    assert!(doc.contains("\"max_sustainable_hz\""));
-    assert!(doc.contains("\"sheds_per_sec\""));
-    assert!(doc.contains("\"limited_by\""));
-}
-
-#[test]
 fn the_v6_fixture_exercises_the_timeseries_and_quorum_sections() {
     let doc = fixture(6);
     assert!(doc.contains("\"timeseries\""));
@@ -55,29 +44,8 @@ fn the_v6_fixture_exercises_the_timeseries_and_quorum_sections() {
 }
 
 #[test]
-fn pre_v5_fixtures_have_no_capacity_section() {
-    for version in [2, 3, 4] {
-        assert!(
-            !fixture(version).contains("capacity"),
-            "a v{version} writer predates the capacity section"
-        );
-    }
-}
-
-#[test]
-fn pre_v6_fixtures_have_no_timeseries_or_quorum_sections() {
-    for version in [2, 3, 4, 5] {
-        let doc = fixture(version);
-        assert!(
-            !doc.contains("\"timeseries\"") && !doc.contains("\"quorum\""),
-            "a v{version} writer predates the telemetry sections"
-        );
-    }
-}
-
-#[test]
-fn downgrading_the_v5_fixture_below_the_floor_is_rejected() {
-    let doc = fixture(2).replace("\"schema_version\": 2", "\"schema_version\": 1");
-    let err = validate_json(&doc).expect_err("v1 is below the supported floor");
+fn downgrading_the_fixture_below_the_floor_is_rejected() {
+    let doc = fixture(6).replace("\"schema_version\": 6", "\"schema_version\": 5");
+    let err = validate_json(&doc).expect_err("v5 is below the supported floor");
     assert!(err.contains("outside supported"), "unexpected error: {err}");
 }
