@@ -358,18 +358,22 @@ impl BbpEndpoint {
     }
 
     /// Send-exit half: clear the published id if we minted it, and on a
-    /// typed error record the `error` checkpoint and snapshot the flight
-    /// ring for the postmortem.
+    /// typed error record the `error` checkpoint. A fault also snapshots
+    /// the flight ring for the postmortem; back-pressure
+    /// ([`BbpError::is_backpressure`]) does not, since a fail-fast
+    /// refusal is the outcome its caller asked for.
     fn trace_exit(&self, ctx: &mut ProcCtx, owned: bool, result: &Result<(), BbpError>) {
         let rec = ctx.obs();
         let id = rec.current_trace(self.rank as u32);
         if owned {
             rec.set_current_trace(self.rank as u32, 0);
         }
-        if result.is_err() {
+        if let Err(e) = result {
             rec.lifecycle(ctx.now(), self.rank as u32, id, Stage::Error, 0);
-            rec.flight()
-                .dump_to_dir(&format!("bbp_send_error_n{}", self.rank));
+            if !e.is_backpressure() {
+                rec.flight()
+                    .dump_to_dir(&format!("bbp_send_error_n{}", self.rank));
+            }
         }
     }
 

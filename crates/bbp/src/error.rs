@@ -60,6 +60,16 @@ pub enum BbpError {
     },
 }
 
+impl BbpError {
+    /// True when the error is back-pressure rather than a fault: a
+    /// fail-fast credit refusal ([`BbpError::NoCredit`]) the caller opted
+    /// into and is expected to shed or retry. Every other variant reports
+    /// something the protocol could not do.
+    pub fn is_backpressure(&self) -> bool {
+        matches!(self, BbpError::NoCredit { .. })
+    }
+}
+
 impl std::fmt::Display for BbpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -113,5 +123,24 @@ mod tests {
         assert!(BbpError::NoTargets.to_string().contains("target"));
         assert!(BbpError::NoCredit { peer: 3 }.to_string().contains('3'));
         assert!(BbpError::Partitioned { epoch: 7 }.to_string().contains('7'));
+    }
+
+    #[test]
+    fn only_no_credit_is_backpressure() {
+        assert!(BbpError::NoCredit { peer: 1 }.is_backpressure());
+        for e in [
+            BbpError::MessageTooLarge { len: 10, max: 4 },
+            BbpError::BadDestination { dst: 9 },
+            BbpError::NoTargets,
+            BbpError::Corrupt { peer: 1 },
+            BbpError::Timeout {
+                peer: 1,
+                attempts: 3,
+            },
+            BbpError::PeerDown { peer: 1 },
+            BbpError::Partitioned { epoch: 2 },
+        ] {
+            assert!(!e.is_backpressure(), "{e:?}");
+        }
     }
 }

@@ -9,9 +9,11 @@
 //! slot plus relaxed stores of the event words, no locks, no allocation
 //! — so the last few hundred protocol steps per node are always
 //! available. When a typed `BbpError`/`MpiError` surfaces, a scripted
-//! chaos kill fires, or a gated test panics, the ring is dumped as JSON
-//! (under `$FLIGHT_DUMP_DIR`, default `target/flight/`) and CI uploads
-//! it as an artifact.
+//! chaos kill fires, or a gated test panics or records a violation, the
+//! ring is dumped as JSON (under `$FLIGHT_DUMP_DIR`, default
+//! `target/flight/`) and CI uploads it as an artifact. A fail-fast
+//! credit refusal (`BbpError::NoCredit`) is back-pressure, not a fault:
+//! it still records its `error` checkpoint here but writes no dump.
 //!
 //! Slots are plain relaxed words, not a seqlock: a torn event (possible
 //! only under concurrent writers, which the simulator's one-entity-at-

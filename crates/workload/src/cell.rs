@@ -8,13 +8,12 @@
 //! completion) and reports violations as strings rather than panicking —
 //! a violated cell still produces its flight dump and its repro command.
 
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use bbp::{BbpCluster, BbpConfig, CreditConfig};
 use des::{ms, us, Simulation, Time};
 use obs::LogHistogram;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rpc::{MessageQueue, Priority, RpcClient, RpcConfig};
@@ -161,22 +160,22 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
     let drain_deadline = end + ms(60);
     let hard_stop = drain_deadline + ms(10);
 
-    let service_out = Arc::new(LogHistogram::new());
-    let totals: Arc<Mutex<ClientTotals>> = Arc::new(Mutex::new((0, 0, 0, 0, 0, 0)));
-    let per_node: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(vec![0; plan.client_nodes]));
-    let undrained = Arc::new(AtomicU32::new(0));
-    let clients_done = Arc::new(AtomicUsize::new(0));
+    let service_out = Rc::new(LogHistogram::new());
+    let totals: Rc<Cell<ClientTotals>> = Rc::new(Cell::new((0, 0, 0, 0, 0, 0)));
+    let per_node: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(vec![0; plan.client_nodes]));
+    let undrained = Rc::new(Cell::new(0u32));
+    let clients_done = Rc::new(Cell::new(0usize));
 
     // --- client nodes: ranks servers..servers+client_nodes ------------
     for node_idx in 0..plan.client_nodes {
         let rank = plan.servers + node_idx;
         let ep = cluster.endpoint(rank);
         let plan = plan.clone();
-        let service_out = Arc::clone(&service_out);
-        let totals = Arc::clone(&totals);
-        let per_node = Arc::clone(&per_node);
-        let undrained = Arc::clone(&undrained);
-        let clients_done = Arc::clone(&clients_done);
+        let service_out = Rc::clone(&service_out);
+        let totals = Rc::clone(&totals);
+        let per_node = Rc::clone(&per_node);
+        let undrained = Rc::clone(&undrained);
+        let clients_done = Rc::clone(&clients_done);
         sim.spawn(format!("client{node_idx}"), move |ctx| {
             // The full arrival script of every channel this node hosts,
             // merged in (time, channel) order. Precomputing makes the
@@ -229,32 +228,33 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
                 ctx.advance(us(20));
                 cl.poll_replies(ctx);
             }
-            undrained.fetch_add(cl.total_outstanding(), Ordering::SeqCst);
+            undrained.set(undrained.get() + cl.total_outstanding());
             service_out.merge(&cl.service_hist());
             let st = cl.stats();
-            per_node.lock()[node_idx] = st.completed;
-            let mut t = totals.lock();
+            per_node.borrow_mut()[node_idx] = st.completed;
+            let mut t = totals.get();
             t.0 += st.sent;
             t.1 += st.completed;
             t.2 += st.shed;
             t.3 += st.transport_shed;
             t.4 += high;
             t.5 += normal;
-            clients_done.fetch_add(1, Ordering::SeqCst);
+            totals.set(t);
+            clients_done.set(clients_done.get() + 1);
         });
     }
 
     // --- servers: ranks 0..servers ------------------------------------
     // (max_residency, high_dispatched, normal_dispatched) per server,
     // plus the merged residency histogram.
-    let server_stats: Arc<Mutex<Vec<(usize, u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-    let residency_out = Arc::new(LogHistogram::new());
+    let server_stats: Rc<RefCell<Vec<(usize, u64, u64)>>> = Rc::new(RefCell::new(Vec::new()));
+    let residency_out = Rc::new(LogHistogram::new());
     for s in 0..plan.servers {
         let ep = cluster.endpoint(s);
         let plan_s = plan.clone();
-        let server_stats = Arc::clone(&server_stats);
-        let residency_out = Arc::clone(&residency_out);
-        let clients_done = Arc::clone(&clients_done);
+        let server_stats = Rc::clone(&server_stats);
+        let residency_out = Rc::clone(&residency_out);
+        let clients_done = Rc::clone(&clients_done);
         let n_clients = plan.client_nodes;
         sim.spawn(format!("server{s}"), move |ctx| {
             let mut rng =
@@ -283,10 +283,7 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
                 // credit-exhausted peer stay staged until the credits
                 // return rather than tripping the fail-fast gate.
                 mq.flush_ready(ctx).expect("reply flush failed");
-                if clients_done.load(Ordering::SeqCst) == n_clients
-                    && mq.queued() == 0
-                    && mq.in_flight() == 0
-                {
+                if clients_done.get() == n_clients && mq.queued() == 0 && mq.in_flight() == 0 {
                     break;
                 }
                 // Past the hard stop the clients have stopped polling,
@@ -299,15 +296,17 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
             }
             let st = mq.stats();
             residency_out.merge(&mq.residency_hist());
-            server_stats
-                .lock()
-                .push((st.max_residency, st.high_dispatched, st.normal_dispatched));
+            server_stats.borrow_mut().push((
+                st.max_residency,
+                st.high_dispatched,
+                st.normal_dispatched,
+            ));
         });
     }
 
     // --- MPI sidecar: the two top ranks -------------------------------
-    let flood_out: Arc<Mutex<Option<FloodOutcome>>> = Arc::new(Mutex::new(None));
-    let pingpong_done = Arc::new(AtomicU32::new(0));
+    let flood_out: Rc<Cell<Option<FloodOutcome>>> = Rc::new(Cell::new(None));
+    let pingpong_done = Rc::new(Cell::new(0u32));
     match plan.sidecar {
         Sidecar::None => {}
         Sidecar::UnexpectedFlood {
@@ -334,7 +333,7 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
             });
 
             let ep = cluster.endpoint(floodee_rank);
-            let flood_out = Arc::clone(&flood_out);
+            let flood_out = Rc::clone(&flood_out);
             sim.spawn("floodee", move |ctx| {
                 let mut mpi = sidecar_mpi(ep);
                 let comm = mpi.comm_world();
@@ -364,11 +363,11 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
                         delivered += 1;
                     }
                 }
-                *flood_out.lock() = Some(FloodOutcome {
+                flood_out.set(Some(FloodOutcome {
                     peak,
                     final_residency: mpi.adi().unexpected_len(),
                     delivered,
-                });
+                }));
             });
         }
         Sidecar::PingPong { rounds } => {
@@ -390,7 +389,7 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
             });
 
             let ep = cluster.endpoint(pinger_rank);
-            let pingpong_done = Arc::clone(&pingpong_done);
+            let pingpong_done = Rc::clone(&pingpong_done);
             sim.spawn("pinger", move |ctx| {
                 let mut mpi = sidecar_mpi(ep);
                 let comm = mpi.comm_world();
@@ -402,7 +401,7 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
                         .recv(ctx, &comm, Some(ponger_rank), Some(r as Tag))
                         .expect("ping recv failed");
                     if echo == body {
-                        pingpong_done.fetch_add(1, Ordering::SeqCst);
+                        pingpong_done.set(pingpong_done.get() + 1);
                     }
                 }
             });
@@ -410,12 +409,11 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
     }
 
     let report = sim.run();
-    flight.dump_now();
     let telemetry = sim.recorder().telemetry().snapshot();
     sim.recorder().telemetry().disable();
 
-    let (sent, completed, shed, transport_shed, high_offered, normal_offered) = *totals.lock();
-    let per_node_completed = per_node.lock().clone();
+    let (sent, completed, shed, transport_shed, high_offered, normal_offered) = totals.get();
+    let per_node_completed = per_node.take();
     let offered: u64 = (0..plan.client_nodes)
         .map(|n| {
             (0..plan.channels_per_node)
@@ -423,11 +421,10 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
                 .sum::<u64>()
         })
         .sum();
-    let stats = server_stats.lock();
+    let stats = server_stats.take();
     let max_residency = stats.iter().map(|s| s.0).max().unwrap_or(0);
     let high_dispatched: u64 = stats.iter().map(|s| s.1).sum();
     let normal_dispatched: u64 = stats.iter().map(|s| s.2).sum();
-    drop(stats);
 
     let mut out = CellOutcome {
         sent,
@@ -449,10 +446,10 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
         high_dispatched,
         normal_dispatched,
         per_node_completed,
-        undrained: undrained.load(Ordering::SeqCst) as u64,
-        flood: *flood_out.lock(),
+        undrained: undrained.get() as u64,
+        flood: flood_out.get(),
         pingpong_rounds: match plan.sidecar {
-            Sidecar::PingPong { .. } => Some(pingpong_done.load(Ordering::SeqCst)),
+            Sidecar::PingPong { .. } => Some(pingpong_done.get()),
             _ => None,
         },
         elapsed_ns: end,
@@ -528,6 +525,7 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
         .map(obs::Violation::describe)
         .collect();
     v.extend(out.health_violations.iter().cloned());
+    flight.dump_if_violated(&v);
     out.violations = v;
     out
 }
